@@ -26,8 +26,9 @@ import json
 import time
 
 from _util import save_and_print
+from repro.jsonl import JsonlLog
 from repro.parallel.shards import benchmark_workload_spec, profile_shard
-from repro.service import AccessLog, JsonlWriter, ServiceQueue, ServiceServer
+from repro.service import AccessLog, ServiceQueue, ServiceServer
 from repro.service.accesslog import read_access_log
 from repro.service.server import REQUEST_SECONDS_BUCKETS
 from repro.service.trace import mint_trace, parse_trace_header
@@ -78,7 +79,7 @@ def _probe_factory():
 
 def _live_service(tmp_path):
     access = AccessLog(tmp_path / "access.jsonl")
-    spans = JsonlWriter(tmp_path / "spans.jsonl")
+    spans = JsonlLog(tmp_path / "spans.jsonl", resume=True)
     queue = ServiceQueue(
         workers=WORKERS, capacity=64, telemetry_enabled=True,
         access_log=access, span_log=spans,

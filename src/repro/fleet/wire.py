@@ -10,27 +10,24 @@ Three kinds travel from a simulated machine to the aggregator:
                   machine's own ever-rmc summary.
 
 Records share the monitor event envelope (``v``/``seq``/``kind``) with
-*per-machine* sequence numbers, and the same writer/validator machinery
-(:mod:`repro.monitor.events`) with the fleet's own kind table — so a
-wire file rotates, validates, and replays exactly like a monitor event
-log.  :class:`MachineFeed` builds each record exactly once and hands the
-same dict to every sink (in-process aggregator, HTTP push, JSONL wire),
-which is what makes offline replay byte-equivalent to live ingest.
+*per-machine* sequence numbers, and the same writer
+(:class:`~repro.monitor.events.EventLog`) with the fleet's own kind
+table — so a wire file rotates, validates, and replays exactly like a
+monitor event log.  :class:`MachineFeed` builds each record exactly once
+and hands the same dict to every sink (in-process aggregator, HTTP push,
+JSONL wire), which is what makes offline replay byte-equivalent to live
+ingest.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator
 
 from repro.errors import FleetError, MonitorError
 from repro.fleet.identity import MachineIdentity
-from repro.monitor.events import (
-    EVENT_STREAM_VERSION,
-    EventLog,
-    read_all_segments,
-    validate_event,
-)
+from repro.jsonl import read_jsonl
+from repro.monitor.events import EVENT_STREAM_VERSION, EventLog, validate_event
 from repro.monitor.monitor import LiveMonitor, WindowSnapshot
 
 __all__ = [
@@ -175,34 +172,13 @@ class WireLog(EventLog):
     arrival-order independent by construction.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        *,
-        max_bytes: int | None = None,
-        keep_segments: int = 3,
-    ) -> None:
-        try:
-            super().__init__(
-                path,
-                kinds=WIRE_KINDS,
-                max_bytes=max_bytes,
-                keep_segments=keep_segments,
-            )
-        except MonitorError as exc:
-            raise FleetError(str(exc)) from None
+    error = FleetError
 
-    def append(self, event: dict) -> None:
-        try:
-            super().append(event)
-        except MonitorError as exc:
-            raise FleetError(str(exc)) from None
+    def validate(self, event: object) -> dict:
+        return validate_wire_record(event)
 
 
 def read_wire(path: str | Path) -> Iterator[dict]:
     """Replay a wire file (all rotated segments, oldest first)."""
-    try:
-        for record in read_all_segments(path, WIRE_KINDS):
-            yield validate_wire_record(record)
-    except MonitorError as exc:
-        raise FleetError(str(exc)) from None
+    for _, record in read_jsonl(path, FleetError):
+        yield validate_wire_record(record)

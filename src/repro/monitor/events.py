@@ -1,39 +1,30 @@
 """Append-only JSONL event stream for monitor sessions.
 
-One JSON object per line, flushed per event so a crashed or killed run
-leaves a readable prefix.  Every event carries a format version, a
-monotonically increasing sequence number, and a ``kind``; the remaining
-keys are kind-specific.  :func:`validate_event` checks one decoded
-object and :func:`read_events` replays (and validates) a whole file, so
-CI can assert on a run's alert history without parsing logs.
+One JSON object per line, written and replayed through :mod:`repro.jsonl`,
+so a killed run leaves a readable prefix.  Every event carries a format
+version, a monotonically increasing sequence number, and a ``kind``; the
+remaining keys are kind-specific.  :func:`validate_event` checks one
+decoded object and :func:`read_events` replays (and validates) a whole
+stream, so CI can assert on a run's alert history without parsing logs.
 
 Long-lived streams (a fleet run is open-ended) can cap the file with
-size-based rotation: pass ``max_bytes`` and the log rolls the live file
-to ``<path>.1`` (shifting ``.1`` -> ``.2`` and so on, keeping the last
-``keep_segments`` rotated segments) whenever a write pushes it past the
-cap — the same bounded-retention discipline as the simulator's
-ring-buffer interval histories, applied to the on-disk stream.
-:func:`log_segments` lists the surviving files oldest-first and
-:func:`read_all_segments` replays them as one stream.
-
-The kind table is injectable (``kinds=``), so the fleet wire format
-reuses this writer/validator with its own vocabulary.
+size-based rotation (``max_bytes``); :func:`read_events` replays every
+surviving segment oldest first.  The fleet wire (:mod:`repro.fleet.wire`)
+subclasses :class:`EventLog`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
 from pathlib import Path
-from typing import IO, Iterator, Mapping
+from typing import Iterator, Mapping
 
-from repro.errors import MonitorError
+from repro.errors import MonitorError, ReproError
+from repro.jsonl import JsonlLog, read_jsonl
 
 __all__ = [
     "EVENT_KINDS",
     "EventLog",
-    "log_segments",
-    "read_all_segments",
     "read_events",
     "validate_event",
 ]
@@ -74,44 +65,37 @@ def validate_event(
     return obj
 
 
-class EventLog:
-    """Writes validated events to a JSONL file, one per line, flushed.
+class EventLog(JsonlLog):
+    """Writes validated events to a fresh JSONL file, one per line, flushed.
 
     With ``max_bytes`` set, the file rotates once a write pushes it past
-    the cap: the live file becomes ``<path>.1``, older segments shift up,
-    and anything beyond ``keep_segments`` rotated files is deleted, so
-    total disk use is bounded by roughly ``(keep_segments + 1) *
-    max_bytes`` no matter how long the stream runs.  Sequence numbers
-    keep counting across rotations.  Safe to share between threads.
+    the cap, so total disk use is bounded by roughly ``(keep_segments +
+    1) * max_bytes`` no matter how long the stream runs.  Sequence
+    numbers keep counting across rotations.  Safe to share between
+    threads.  Subclasses swap the vocabulary by overriding
+    :meth:`validate` and the error type by overriding ``error``.
     """
 
+    error: type[ReproError] = MonitorError
+
     def __init__(
-        self,
-        path: str | Path,
-        *,
-        kinds: Mapping[str, tuple[str, ...]] = EVENT_KINDS,
-        max_bytes: int | None = None,
-        keep_segments: int = 3,
+        self, path: str | Path, *, max_bytes: int | None = None, keep_segments: int = 3
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise MonitorError(f"max_bytes must be >= 1, got {max_bytes}")
-        if keep_segments < 1:
-            raise MonitorError(f"keep_segments must be >= 1, got {keep_segments}")
-        self.path = Path(path)
-        self.kinds = dict(kinds)
-        self.max_bytes = max_bytes
-        self.keep_segments = keep_segments
-        self._fh: IO[str] | None = self.path.open("w", encoding="utf-8")
+        super().__init__(
+            path, error=self.error, max_bytes=max_bytes, keep_segments=keep_segments
+        )
         self._seq = 0
-        self._lock = threading.Lock()
+        self._emit_lock = threading.Lock()
+
+    def validate(self, event: object) -> dict:
+        return validate_event(event)
 
     def emit(self, kind: str, **payload: object) -> dict:
         """Append one event under a fresh envelope; returns the object."""
-        with self._lock:
+        with self._emit_lock:
             event = {"v": EVENT_STREAM_VERSION, "seq": self._seq, "kind": kind}
             event.update(payload)
-            validate_event(event, self.kinds)
-            self._write(event)
+            self.append(event)
             self._seq += 1
         return event
 
@@ -122,88 +106,14 @@ class EventLog:
         machine feed (with per-machine sequence numbers) and the same
         object goes to the in-process aggregator and to the JSONL wire.
         """
-        with self._lock:
-            validate_event(event, self.kinds)
-            self._write(event)
+        self.validate(event)
+        if self.closed:
+            raise self.error(f"event log {self.path} is closed")
+        super().append(event)
         return event
 
-    def _write(self, event: dict) -> None:
-        if self._fh is None:
-            raise MonitorError(f"event log {self.path} is closed")
-        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fh.flush()
-        if self.max_bytes is not None and self._fh.tell() >= self.max_bytes:
-            self._rotate()
 
-    def _rotate(self) -> None:
-        assert self._fh is not None
-        self._fh.close()
-        oldest = self.path.with_name(f"{self.path.name}.{self.keep_segments}")
-        oldest.unlink(missing_ok=True)
-        for i in range(self.keep_segments - 1, 0, -1):
-            seg = self.path.with_name(f"{self.path.name}.{i}")
-            if seg.exists():
-                seg.rename(self.path.with_name(f"{self.path.name}.{i + 1}"))
-        self.path.rename(self.path.with_name(f"{self.path.name}.1"))
-        self._fh = self.path.open("w", encoding="utf-8")
-
-    def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def __enter__(self) -> EventLog:
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-def log_segments(path: str | Path) -> list[Path]:
-    """Surviving segments of a (possibly rotated) log, oldest first.
-
-    Returns ``[<path>.N, ..., <path>.1, <path>]`` for the segments that
-    exist; a never-rotated log yields just ``[<path>]``.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise MonitorError(f"event stream not found: {path}")
-    rotated = []
-    i = 1
-    while True:
-        seg = path.with_name(f"{path.name}.{i}")
-        if not seg.exists():
-            break
-        rotated.append(seg)
-        i += 1
-    return list(reversed(rotated)) + [path]
-
-
-def read_events(
-    path: str | Path, kinds: Mapping[str, tuple[str, ...]] = EVENT_KINDS
-) -> Iterator[dict]:
-    """Replay a JSONL event stream, validating every line."""
-    path = Path(path)
-    if not path.exists():
-        raise MonitorError(f"event stream not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MonitorError(
-                    f"{path}:{lineno}: malformed JSON: {exc}"
-                ) from exc
-            yield validate_event(obj, kinds)
-
-
-def read_all_segments(
-    path: str | Path, kinds: Mapping[str, tuple[str, ...]] = EVENT_KINDS
-) -> Iterator[dict]:
-    """Replay every surviving segment of a rotated log, oldest first."""
-    for seg in log_segments(path):
-        yield from read_events(seg, kinds)
+def read_events(path: str | Path) -> Iterator[dict]:
+    """Replay an event stream (every rotated segment, oldest first)."""
+    for _, obj in read_jsonl(path, MonitorError):
+        yield validate_event(obj)

@@ -357,7 +357,6 @@ class ResultCache:
         stale_s: float = CLAIM_STALE_S,
         poll_s: float = 0.05,
         timeout_s: float = 120.0,
-        defer_s: float = 0.0,
     ) -> tuple[dict, bool]:
         """Execute ``compute()`` for ``key`` at most once across processes.
 
@@ -365,9 +364,6 @@ class ResultCache:
         race computes, publishes the entry with :meth:`put`, and releases
         the claim; losers poll the cache until the entry appears (or the
         claim is released/stolen, at which point they compete to claim).
-        ``defer_s`` delays this process's *first* claim attempt — the
-        consistent-hash router uses it so the key's owning worker usually
-        wins the race without any cross-process coordination.
 
         Fail-open contract: a disabled cache computes immediately; a
         follower that outwaits ``timeout_s`` (publisher wedged, or its
@@ -380,13 +376,12 @@ class ResultCache:
         if cached is not None:
             return cached, False
         deadline = time.monotonic() + timeout_s
-        attempt_at = time.monotonic() + defer_s
         while True:
             cached = self.get(key)
             if cached is not None:
                 self.single_flight_follows += 1
                 return cached, False
-            if time.monotonic() >= attempt_at and self.try_claim(key):
+            if self.try_claim(key):
                 try:
                     payload = compute()
                     self.put(key, payload)

@@ -13,9 +13,9 @@ Recovery rules, in the spirit of classic WAL recovery:
 * the header must match the resuming campaign (same ``campaign_seed``) —
   resuming under a different seed would splice together payloads from two
   different sample universes, so it is an error, not a warning;
-* a torn final line (the process died mid-``write``) is discarded
-  silently: the shard it described never acknowledged completion, so
-  dropping it is the correct (and safe) outcome;
+* torn lines follow :mod:`repro.jsonl`: a torn final line (the shard
+  never acknowledged completion) is dropped and truncated before the
+  resumed run appends; corruption anywhere else is a hard error;
 * unknown keys in a journal line are ignored and entries for shards the
   resuming campaign does not contain are simply never looked up — a
   journal is a cache with provenance, never an instruction stream.
@@ -32,9 +32,9 @@ import json
 import logging
 import os
 import pathlib
-import time
 
 from repro.errors import ParallelError
+from repro.jsonl import JsonlLog, read_jsonl
 from repro.parallel.seeding import canonical_json
 
 __all__ = ["CampaignJournal", "JOURNAL_SCHEMA"]
@@ -43,6 +43,11 @@ logger = logging.getLogger(__name__)
 
 JOURNAL_SCHEMA = "drbw-campaign-journal"
 JOURNAL_SCHEMA_VERSION = 1
+
+#: Every record is flushed to the OS, which survives the crashes and
+#: SIGINTs campaigns actually see; the costlier fsync runs at most once
+#: per interval plus once at close.
+FSYNC_INTERVAL_S = 1.0
 
 
 class CampaignJournal:
@@ -60,52 +65,38 @@ class CampaignJournal:
         path: str | os.PathLike,
         campaign_seed: int = 0,
         resume: bool = False,
-        fsync_interval_s: float = 1.0,
     ) -> None:
         self.path = pathlib.Path(path)
         self.campaign_seed = int(campaign_seed)
         self._entries: dict[str, dict] = {}
-        self._fh = None
         self.resumed_count = 0
-        #: Throttle for fsync: every record is flushed to the OS (which
-        #: survives a process crash/SIGINT — the failure mode campaigns
-        #: actually see), but the costlier disk barrier runs at most once
-        #: per interval plus once at close.  0 means fsync every record.
-        self._fsync_interval_s = float(fsync_interval_s)
-        self._last_fsync = float("-inf")
-        if resume and self.path.exists():
-            self._load()
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            mode = "a" if resume else "w"
-            self._fh = open(self.path, mode)
-        except OSError as exc:
-            raise ParallelError(f"cannot open campaign journal {self.path}: {exc}") from exc
-        if self._fh.tell() == 0:
-            self._write_line(
-                {
-                    "schema": JOURNAL_SCHEMA,
-                    "schema_version": JOURNAL_SCHEMA_VERSION,
-                    "campaign_seed": self.campaign_seed,
-                }
+        has_header = resume and self.path.exists() and self._load()
+        self._log = JsonlLog(
+            self.path,
+            error=ParallelError,
+            resume=resume,
+            fsync_interval_s=FSYNC_INTERVAL_S,
+        )
+        if not has_header:
+            self._write(
+                canonical_json(
+                    {
+                        "schema": JOURNAL_SCHEMA,
+                        "schema_version": JOURNAL_SCHEMA_VERSION,
+                        "campaign_seed": self.campaign_seed,
+                    }
+                )
             )
 
     # -- recovery ---------------------------------------------------------------
 
-    def _load(self) -> None:
-        try:
-            text = self.path.read_text()
-        except OSError as exc:
-            raise ParallelError(f"cannot read campaign journal {self.path}: {exc}") from exc
-        lines = text.splitlines()
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise ParallelError(
-                f"campaign journal {self.path} has an unreadable header"
-            ) from None
+    def _load(self) -> bool:
+        """Load the journal's entries; False when it holds no header yet."""
+        lines = read_jsonl(self.path, ParallelError)
+        first = next(lines, None)
+        if first is None:
+            return False
+        header = first[1]
         if (
             not isinstance(header, dict)
             or header.get("schema") != JOURNAL_SCHEMA
@@ -120,29 +111,17 @@ class CampaignJournal:
                 f"{header.get('campaign_seed')}; cannot resume with "
                 f"campaign_seed={self.campaign_seed}"
             )
-        for i, line in enumerate(lines[1:], start=2):
-            try:
-                entry = json.loads(line)
-                if (
-                    not isinstance(entry, dict)
-                    or not isinstance(entry.get("key"), str)
-                    or not isinstance(entry.get("payload"), dict)
-                    or not isinstance(entry.get("seq"), int)
-                ):
-                    raise ValueError("bad entry")
-            except ValueError:
-                if i == len(lines):
-                    # A torn tail: the writer died mid-append.  That shard
-                    # never acknowledged completion, so dropping it is safe.
-                    logger.warning(
-                        "discarding torn final line of journal %s", self.path
-                    )
-                    break
-                raise ParallelError(
-                    f"campaign journal {self.path} is corrupt at line {i}"
-                ) from None
+        for where, entry in lines:
+            if (
+                not isinstance(entry, dict)
+                or not isinstance(entry.get("key"), str)
+                or not isinstance(entry.get("payload"), dict)
+                or not isinstance(entry.get("seq"), int)
+            ):
+                raise ParallelError(f"campaign journal {where} is corrupt: bad entry")
             self._entries[entry["key"]] = entry
         self.resumed_count = len(self._entries)
+        return True
 
     # -- API --------------------------------------------------------------------
 
@@ -169,29 +148,19 @@ class CampaignJournal:
         entry = {"seq": seq, "key": key, "config_hash": config_hash, "payload": payload}
         self._entries[key] = entry
         if payload_text is None:
-            self._write_text(canonical_json(entry) + "\n")
+            self._write(canonical_json(entry))
         else:
             # Hand-assembled in canonical form (keys in sorted order,
             # compact separators) — byte-identical to canonical_json(entry).
-            self._write_text(
-                '{"config_hash":%s,"key":%s,"payload":%s,"seq":%d}\n'
+            self._write(
+                '{"config_hash":%s,"key":%s,"payload":%s,"seq":%d}'
                 % (json.dumps(config_hash), json.dumps(key), payload_text, seq)
             )
 
-    def _write_line(self, obj: dict) -> None:
-        self._write_text(canonical_json(obj) + "\n")
-
-    def _write_text(self, text: str) -> None:
-        if self._fh is None or self._fh.closed:
-            return
+    def _write(self, line: str) -> None:
         try:
-            self._fh.write(text)
-            self._fh.flush()
-            now = time.monotonic()
-            if now - self._last_fsync >= self._fsync_interval_s:
-                os.fsync(self._fh.fileno())
-                self._last_fsync = now
-        except (OSError, ValueError) as exc:
+            self._log.append_line(line)
+        except OSError as exc:
             # A journal that cannot persist must not fail the campaign it
             # is checkpointing; it just stops being a recovery point.
             logger.warning("campaign journal write failed (%s); continuing", exc)
@@ -200,16 +169,10 @@ class CampaignJournal:
         return len(self._entries)
 
     def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            try:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-            except (OSError, ValueError):
-                pass
-            try:
-                self._fh.close()
-            except OSError:
-                pass
+        try:
+            self._log.close()
+        except OSError:
+            pass
 
     def __enter__(self) -> "CampaignJournal":
         return self

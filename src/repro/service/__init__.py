@@ -20,8 +20,6 @@ The moving parts, one module each:
 * :mod:`~repro.service.mpserve`   — the ``--workers N`` pre-fork
   supervisor: shared listener (SO_REUSEPORT or inherited socket),
   cross-process single-flight, fleet drain;
-* :mod:`~repro.service.routing`   — consistent-hash ownership of job
-  keys across worker processes;
 * :mod:`~repro.service.admission` — priority classes
   (``X-Drbw-Priority``) layered over the token buckets;
 * :mod:`~repro.service.metricsagg` — ``/metrics`` snapshot merge so any
@@ -31,7 +29,8 @@ The moving parts, one module each:
 * :mod:`~repro.service.trace`     — ``X-Drbw-Trace`` request-trace
   propagation (client-minted or server-minted);
 * :mod:`~repro.service.accesslog` — the structured JSONL access log
-  (one record per HTTP request and per terminal job).
+  (one record per HTTP request and per terminal job), written through
+  the package-wide :class:`repro.jsonl.JsonlLog` like the span log.
 
 See ``docs/service.md`` for the operator's view, including the
 "Request tracing & SLOs" section.
@@ -40,7 +39,6 @@ See ``docs/service.md`` for the operator's view, including the
 from repro.service.accesslog import (
     ACCESS_LOG_VERSION,
     AccessLog,
-    JsonlWriter,
     read_access_log,
     validate_access_record,
 )
@@ -53,7 +51,6 @@ from repro.service.admission import (
 from repro.service.client import ServiceClient, parse_retry_after
 from repro.service.coalescer import Coalescer
 from repro.service.mpserve import ServiceSupervisor, WorkerConfig, build_worker_server
-from repro.service.routing import HashRing
 from repro.service.jobspec import (
     JOB_KINDS,
     execute_job,
@@ -80,14 +77,12 @@ __all__ = [
     "AdmissionController",
     "Coalescer",
     "DEFAULT_PRIORITY",
-    "HashRing",
     "PRIORITIES",
     "PRIORITY_HEADER",
     "Job",
     "JobStore",
     "JOB_KINDS",
     "JOB_STATES",
-    "JsonlWriter",
     "SERVICE_CACHE_SCHEMA",
     "ServiceClient",
     "ServiceQueue",

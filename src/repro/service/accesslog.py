@@ -21,27 +21,24 @@ Every record carries ``v`` (schema version), ``kind``, ``ts`` (unix
 seconds), and a non-empty ``trace_id``; :func:`read_access_log` enforces
 exactly that and raises a typed :class:`~repro.errors.ServiceError` on
 junk, so downstream joins (CI's trace ⇄ span check, the loadgen report)
-never crash on a torn or hand-edited line.
+never crash on a hand-edited line.
 
-Writers are thread-safe and flush per record: the log must survive a
-SIGTERM mid-request with at most the final line torn, mirroring the
-monitor's :class:`~repro.monitor.events.EventLog` discipline.
+The log is a :class:`repro.jsonl.JsonlLog` reopened for append across
+restarts, so torn lines follow that module's single policy.
 """
 
 from __future__ import annotations
 
-import json
 import pathlib
-import threading
 import time
 from typing import Iterator
 
 from repro.errors import ServiceError
+from repro.jsonl import JsonlLog, read_jsonl
 
 __all__ = [
     "ACCESS_LOG_VERSION",
     "AccessLog",
-    "JsonlWriter",
     "read_access_log",
     "validate_access_record",
 ]
@@ -52,37 +49,11 @@ ACCESS_LOG_VERSION = 1
 _RECORD_KINDS = frozenset({"http", "job"})
 
 
-class JsonlWriter:
-    """Thread-safe append-only JSONL sink (one flush per record)."""
+class AccessLog(JsonlLog):
+    """JSONL access log; stamps schema version and timestamp per record."""
 
     def __init__(self, path: str | pathlib.Path) -> None:
-        self.path = pathlib.Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.path, "a", encoding="utf-8")
-        self._lock = threading.Lock()
-
-    def write(self, record: dict) -> None:
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        with self._lock:
-            if self._fh.closed:
-                return
-            self._fh.write(line + "\n")
-            self._fh.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            if not self._fh.closed:
-                self._fh.close()
-
-    def __enter__(self) -> "JsonlWriter":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
-
-
-class AccessLog(JsonlWriter):
-    """JSONL access log; stamps schema version and timestamp per record."""
+        super().__init__(path, error=ServiceError, resume=True)
 
     def record(self, kind: str, **fields: object) -> None:
         if kind not in _RECORD_KINDS:
@@ -92,7 +63,7 @@ class AccessLog(JsonlWriter):
             )
         rec = {"v": ACCESS_LOG_VERSION, "kind": kind, "ts": round(time.time(), 6)}
         rec.update({k: v for k, v in fields.items() if v is not None})
-        self.write(rec)
+        self.append(rec)
 
 
 def validate_access_record(record: object) -> list[str]:
@@ -130,32 +101,11 @@ def validate_access_record(record: object) -> list[str]:
 
 
 def read_access_log(path: str | pathlib.Path) -> Iterator[dict]:
-    """Yield validated records; :class:`ServiceError` on malformed lines.
-
-    A trailing torn line (no newline, interrupted write) is tolerated and
-    skipped; corruption anywhere else is a hard error — same contract as
-    the campaign journal reader.
-    """
-    path = pathlib.Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ServiceError(f"cannot read access log {path}: {exc}") from exc
-    lines = text.split("\n")
-    # The writer flushes whole ``line + "\n"`` units, so a final element
-    # without a trailing newline is a write the process died inside —
-    # drop the fragment; every newline-terminated line must be valid.
-    body = lines[:-1]
-    for lineno, line in enumerate(body, start=1):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(
-                f"access log {path} line {lineno} is not valid JSON: {exc}"
-            ) from exc
+    """Yield validated records; :class:`ServiceError` on malformed lines."""
+    for where, record in read_jsonl(path, ServiceError):
         errors = validate_access_record(record)
         if errors:
             raise ServiceError(
-                f"access log {path} line {lineno} is invalid: {'; '.join(errors)}"
+                f"access log {where} is invalid: {'; '.join(errors)}"
             )
         yield record

@@ -19,8 +19,6 @@ What makes N processes *one service*:
   its claim-file protocol gives **cross-process single-flight** — a
   storm of identical specs executes once fleet-wide
   (``ResultCache.single_flight``);
-* a :class:`~repro.service.routing.HashRing` names an owning worker per
-  job key, so the claim race is usually won without contention;
 * fleet-unique job ids (``job-w1-000003``) plus shared per-job records
   (:class:`~repro.service.jobstore.JobStore`) mean a status or result
   poll answered by *any* worker — the kernel picks one per connection —
@@ -52,12 +50,12 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 from repro.errors import ServiceError
+from repro.jsonl import JsonlLog
 from repro.parallel.cache import ResultCache
-from repro.service.accesslog import AccessLog, JsonlWriter
+from repro.service.accesslog import AccessLog
 from repro.service.admission import AdmissionController
 from repro.service.jobstore import JobStore
 from repro.service.queue import SERVICE_CACHE_SCHEMA, ServiceQueue
-from repro.service.routing import HashRing
 from repro.service.server import ServiceServer
 
 __all__ = ["WorkerConfig", "ServiceSupervisor", "build_worker_server"]
@@ -109,10 +107,6 @@ class WorkerConfig:
     #: has it, else the inherited-socket pre-fork; tests pin one.
     listener: str = "auto"
     batch_depth_fraction: float = 0.5
-    #: Non-owner claim deferral (seconds).  Off by default: the claim
-    #: file is atomic, so exactly-once holds without it, and against the
-    #: shared cache directory a deferral only adds latency.
-    single_flight_defer_s: float = 0.0
     single_flight_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
@@ -189,7 +183,11 @@ def build_worker_server(
     access_log_path = _worker_path(cfg.access_log)
     span_log_path = _worker_path(cfg.span_log)
     access_log = AccessLog(access_log_path) if access_log_path else None
-    span_log = JsonlWriter(span_log_path) if span_log_path else None
+    span_log = (
+        JsonlLog(span_log_path, error=ServiceError, resume=True)
+        if span_log_path
+        else None
+    )
 
     queue_opts: dict = {}
     if executor is not None:
@@ -211,9 +209,6 @@ def build_worker_server(
         access_log=access_log,
         span_log=span_log,
         single_flight=multiproc,
-        ring=HashRing([f"w{i}" for i in range(cfg.workers)]) if multiproc else None,
-        worker_tag=worker_tag,
-        single_flight_defer_s=cfg.single_flight_defer_s,
         single_flight_timeout_s=cfg.single_flight_timeout_s,
         **queue_opts,
     )

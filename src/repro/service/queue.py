@@ -43,9 +43,10 @@ from typing import Callable
 
 from repro import telemetry
 from repro.errors import ReproError, ServiceError, ServiceSaturatedError
+from repro.jsonl import JsonlLog
 from repro.parallel.cache import ResultCache
 from repro.parallel.seeding import canonical_json
-from repro.service.accesslog import AccessLog, JsonlWriter
+from repro.service.accesslog import AccessLog
 from repro.service.coalescer import Coalescer
 from repro.service.jobspec import execute_job, job_key, normalize_job
 from repro.service.jobstore import Job, JobStore
@@ -150,11 +151,8 @@ class ServiceQueue:
         degraded_window_s: float = 30.0,
         clock: Callable[[], float] = time.monotonic,
         access_log: AccessLog | None = None,
-        span_log: JsonlWriter | None = None,
+        span_log: JsonlLog | None = None,
         single_flight: bool = False,
-        ring=None,
-        worker_tag: str | None = None,
-        single_flight_defer_s: float = 0.0,
         single_flight_timeout_s: float = 120.0,
         store: JobStore | None = None,
     ) -> None:
@@ -204,16 +202,7 @@ class ServiceQueue:
         #: Cross-process single-flight (PR 10): when several pre-forked
         #: worker processes share one cache directory, identical job keys
         #: execute once fleet-wide via the cache's claim-file protocol.
-        #: ``ring``/``worker_tag`` give each key an owning process that
-        #: classifies claims first.  Non-owners *may* defer their first
-        #: claim attempt by ``single_flight_defer_s``; exactly-once never
-        #: depends on it (the claim file is atomic), so it defaults to 0 —
-        #: with a shared cache directory there is no per-worker locality
-        #: for a deferral to buy, only added latency.
         self._single_flight = single_flight and cache is not None
-        self._ring = ring
-        self._worker_tag = worker_tag
-        self._single_flight_defer_s = single_flight_defer_s
         self._single_flight_timeout_s = single_flight_timeout_s
         #: Service lifecycle counters — always live, whatever the
         #: telemetry setting, because ``/metrics`` and the CI smoke test
@@ -525,18 +514,8 @@ class ServiceQueue:
         At most one process in the fleet runs the executor for this key;
         everyone else reads the published cache entry, whose canonical
         bytes are exactly what a local execution would have produced (the
-        byte-identity contract the multi-process tests pin).  When the
-        ring names another worker as the key's owner, this process defers
-        its first claim attempt so the owner usually wins the race.
+        byte-identity contract the multi-process tests pin).
         """
-        defer = 0.0
-        if self._ring is not None and self._worker_tag is not None:
-            owner = self._ring.node_for(job.key)
-            if owner == self._worker_tag:
-                self.metrics.counter("service.routing_owned").inc()
-            else:
-                self.metrics.counter("service.routing_deferred").inc()
-                defer = self._single_flight_defer_s
 
         def _compute() -> dict:
             with telemetry.session(tel):
@@ -545,7 +524,6 @@ class ServiceQueue:
         result, executed_here = self.cache.single_flight(
             job.key,
             _compute,
-            defer_s=defer,
             timeout_s=self._single_flight_timeout_s,
         )
         if executed_here:
@@ -641,5 +619,5 @@ class ServiceQueue:
                     self.telemetry.metrics.counter(name).inc(c.value)
                 if self._span_log is not None:
                     for rec in tagged:
-                        self._span_log.write(rec)
+                        self._span_log.append(rec)
         return False

@@ -17,7 +17,8 @@ Everything a ``repro report`` dashboard shows comes from these files
 alone, so a run is explainable — and reproducible, via ``meta.json`` —
 long after the process that produced it is gone.  Loading validates
 presence and shape and raises :class:`repro.errors.TelemetryError` with
-the offending path, never a bare ``KeyError``.
+the offending path, never a bare ``KeyError``; the ``.jsonl`` files go
+through :mod:`repro.jsonl`.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import TelemetryError
+from repro.jsonl import JsonlLog, read_jsonl
 from repro.telemetry import Telemetry
 from repro.telemetry.spans import chrome_trace_events
 from repro.telemetry.timeline import (
@@ -133,9 +135,9 @@ def export_artifact(
     spans = tel.tracer.to_dicts()
     with open(os.path.join(out_dir, _META), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    with open(os.path.join(out_dir, _SPANS), "w") as fh:
+    with JsonlLog(os.path.join(out_dir, _SPANS), error=TelemetryError) as log:
         for s in spans:
-            fh.write(json.dumps(s) + "\n")
+            log.append(s)
     with open(os.path.join(out_dir, _TRACE), "w") as fh:
         json.dump(chrome_trace_events(spans), fh)
     with open(os.path.join(out_dir, _METRICS), "w") as fh:
@@ -171,34 +173,14 @@ def load_artifact(path: str) -> RunArtifact:
             f"this reader (supports <= {ARTIFACT_VERSION})"
         )
     spans: list[dict] = []
-    spans_path = os.path.join(path, _SPANS)
-    try:
-        with open(spans_path) as fh:
-            for i, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    span = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TelemetryError(
-                        f"{spans_path}:{i} is not valid JSON: {exc}"
-                    ) from None
-                if not isinstance(span, dict) or "name" not in span:
-                    raise TelemetryError(f"{spans_path}:{i} is not a span object")
-                spans.append(span)
-    except FileNotFoundError:
-        raise TelemetryError(f"telemetry artifact is missing {spans_path}") from None
+    for where, span in read_jsonl(os.path.join(path, _SPANS), TelemetryError):
+        if not isinstance(span, dict) or "name" not in span:
+            raise TelemetryError(f"{where} is not a span object")
+        spans.append(span)
     metrics = _read_json(os.path.join(path, _METRICS))
     if not isinstance(metrics, dict):
         raise TelemetryError(f"{path}/{_METRICS} must hold an object")
-    timeline_path = os.path.join(path, _TIMELINE)
-    try:
-        timelines = load_timelines(timeline_path)
-    except FileNotFoundError:
-        raise TelemetryError(f"telemetry artifact is missing {timeline_path}") from None
-    except (KeyError, TypeError, IndexError, json.JSONDecodeError) as exc:
-        raise TelemetryError(f"{timeline_path} is malformed: {exc!r}") from None
+    timelines = load_timelines(os.path.join(path, _TIMELINE))
     results = _read_json(os.path.join(path, _RESULTS))
     if not isinstance(results, dict):
         raise TelemetryError(f"{path}/{_RESULTS} must hold an object")

@@ -7,7 +7,7 @@ interval-by-interval utilization histories on every directed interconnect
 channel and every memory controller; this module snapshots those
 histories into :class:`ResourceTimeline` objects — rebinned to a bounded
 point count so artifacts stay small on long runs — and round-trips them
-through JSONL losslessly.
+through JSONL (:mod:`repro.jsonl`) losslessly.
 
 The module is import-light on purpose: it touches run results purely
 through their public ``interconnect`` / ``memctrl`` / ``topology``
@@ -17,9 +17,11 @@ a cycle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
+
+from repro.errors import TelemetryError
+from repro.jsonl import JsonlLog, read_jsonl
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.numasim.engine import RunResult
@@ -176,19 +178,19 @@ def capture_run_timelines(
 
 def dump_timelines(timelines: Iterable[ResourceTimeline], path: str) -> None:
     """Write one JSON object per resource, one per line."""
-    with open(path, "w") as fh:
+    with JsonlLog(path, error=TelemetryError) as log:
         for tl in timelines:
-            fh.write(json.dumps(tl.to_dict()) + "\n")
+            log.append(tl.to_dict())
 
 
 def load_timelines(path: str) -> list[ResourceTimeline]:
     """Inverse of :func:`dump_timelines` (bit-exact floats)."""
     out: list[ResourceTimeline] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(ResourceTimeline.from_dict(json.loads(line)))
+    for where, obj in read_jsonl(path, TelemetryError):
+        try:
+            out.append(ResourceTimeline.from_dict(obj))
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            raise TelemetryError(f"{where} is malformed: {exc!r}") from None
     return out
 
 

@@ -12,7 +12,7 @@ from repro.fleet.wire import (
     read_wire,
     validate_wire_record,
 )
-from repro.monitor.events import log_segments
+from repro.jsonl import segments as log_segments
 
 from tests.fleet.conftest import make_stream
 

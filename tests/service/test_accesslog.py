@@ -1,8 +1,6 @@
-"""The JSONL access log: writer, record schema, torn-tail reader."""
+"""The JSONL access log: writer, record schema, reader validation."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -10,7 +8,6 @@ from repro.errors import ServiceError
 from repro.service import (
     ACCESS_LOG_VERSION,
     AccessLog,
-    JsonlWriter,
     read_access_log,
     validate_access_record,
 )
@@ -26,23 +23,23 @@ def http_fields(**over) -> dict:
 class TestWriter:
     def test_one_line_per_record_sorted_keys(self, tmp_path):
         path = tmp_path / "log.jsonl"
-        with JsonlWriter(path) as w:
-            w.write({"b": 1, "a": 2})
-            w.write({"c": [1, 2]})
+        with AccessLog(path) as w:
+            w.append({"b": 1, "a": 2})
+            w.append({"c": [1, 2]})
         lines = path.read_text().splitlines()
         assert lines == ['{"a":2,"b":1}', '{"c":[1,2]}']
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "log.jsonl"
-        with JsonlWriter(path) as w:
-            w.write({})
+        with AccessLog(path) as w:
+            w.append({})
         assert path.exists()
 
     def test_appends_across_instances(self, tmp_path):
         path = tmp_path / "log.jsonl"
         for i in range(2):
-            with JsonlWriter(path) as w:
-                w.write({"i": i})
+            with AccessLog(path) as w:
+                w.append({"i": i})
         assert len(path.read_text().splitlines()) == 2
 
 
@@ -98,34 +95,10 @@ class TestValidate:
 
 
 class TestReader:
-    def test_torn_tail_dropped(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        log = AccessLog(path)
-        log.record("http", **http_fields())
-        log.close()
-        with open(path, "a") as fh:
-            fh.write('{"v": 1, "kind": "ht')  # process died mid-write
-        assert len(list(read_access_log(path))) == 1
-
-    def test_corruption_mid_file_is_hard_error(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.write_text("not json\n" + json.dumps(
-            {"v": 1, "kind": "http", "ts": 1.0, "trace_id": "a",
-             "status": 200}) + "\n")
-        with pytest.raises(ServiceError, match="line 1"):
-            list(read_access_log(path))
+    """Torn tails, corruption, empty and missing files: tests/test_jsonl.py."""
 
     def test_valid_json_invalid_schema_is_hard_error(self, tmp_path):
         path = tmp_path / "log.jsonl"
         path.write_text('{"v": 1}\n')
         with pytest.raises(ServiceError, match="invalid"):
             list(read_access_log(path))
-
-    def test_missing_file_is_service_error(self, tmp_path):
-        with pytest.raises(ServiceError, match="cannot read"):
-            list(read_access_log(tmp_path / "absent.jsonl"))
-
-    def test_empty_file_yields_nothing(self, tmp_path):
-        path = tmp_path / "log.jsonl"
-        path.touch()
-        assert list(read_access_log(path)) == []

@@ -34,11 +34,10 @@ import urllib.request
 
 import pytest
 
-from repro.errors import ServiceError
 from repro.faults import InfraFaultPlan
 from repro.service.jobstore import JobStore
 from repro.parallel.cache import ResultCache
-from repro.service import SERVICE_CACHE_SCHEMA, HashRing, job_key, normalize_job
+from repro.service import SERVICE_CACHE_SCHEMA, job_key, normalize_job
 from repro.service.metricsagg import (
     merge_registry_dicts,
     read_snapshots,
@@ -51,43 +50,6 @@ REPO_SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 SPEC = {"kind": "detect", "benchmark": "NW", "seed": 42}
 
 _CTX = multiprocessing.get_context("fork")
-
-
-# ---------------------------------------------------------------------------
-# Consistent-hash ring
-# ---------------------------------------------------------------------------
-
-class TestHashRing:
-    def test_deterministic_across_instances(self):
-        a = HashRing(["w0", "w1", "w2"])
-        b = HashRing(["w0", "w1", "w2"])
-        keys = [f"key-{i}" for i in range(200)]
-        assert [a.node_for(k) for k in keys] == [b.node_for(k) for k in keys]
-
-    def test_spread_is_roughly_uniform(self):
-        ring = HashRing([f"w{i}" for i in range(4)])
-        spread = ring.spread([f"job-{i}" for i in range(2000)])
-        assert set(spread) == {"w0", "w1", "w2", "w3"}
-        for count in spread.values():
-            assert 250 <= count <= 750  # no worker owns none or most
-
-    def test_minimal_remap_when_growing(self):
-        keys = [f"key-{i}" for i in range(1000)]
-        before = HashRing(["w0", "w1", "w2"])
-        after = HashRing(["w0", "w1", "w2", "w3"])
-        moved = sum(
-            1 for k in keys if before.node_for(k) != after.node_for(k)
-        )
-        # Consistent hashing moves ~1/N of the space, not most of it.
-        assert moved < 500
-
-    def test_rejects_bad_configs(self):
-        with pytest.raises(ServiceError):
-            HashRing([])
-        with pytest.raises(ServiceError):
-            HashRing(["w0", "w0"])
-        with pytest.raises(ServiceError):
-            HashRing(["w0"], replicas=0)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,9 @@ import urllib.request
 import pytest
 
 from repro import telemetry
+from repro.jsonl import JsonlLog
 from repro.service import (
     AccessLog,
-    JsonlWriter,
     ServiceClient,
     ServiceQueue,
     ServiceServer,
@@ -43,7 +43,7 @@ def span_executor(spec: dict) -> dict:
 def observed(tmp_path):
     """A serving stack with access log + span log wired end to end."""
     access = AccessLog(tmp_path / "access.jsonl")
-    spans = JsonlWriter(tmp_path / "spans.jsonl")
+    spans = JsonlLog(tmp_path / "spans.jsonl", resume=True)
     queue = ServiceQueue(
         executor=span_executor, workers=2, capacity=8,
         telemetry_enabled=True, access_log=access, span_log=spans,
