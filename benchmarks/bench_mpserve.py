@@ -2,7 +2,7 @@
 
 The PR-10 tentpole claims ``drbw serve --workers N`` is *one service* at
 any worker count.  This bench drives the real CLI — supervisor, fork,
-listener strategy, drain — with the loadgen's open-loop arrival schedule
+shared port, drain — with the loadgen's open-loop arrival schedule
 (no coordinated omission) and publishes, per worker count: sustained
 RPS, p50/p99 at the sustained level, and the saturation knee.  Three
 gates ride along:

@@ -320,17 +320,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="listen port, 0 for OS-assigned (default: 8787)")
     p_serve.add_argument("--workers", type=int, default=1, metavar="N",
                          help="server worker processes (default: 1); N > 1 "
-                              "pre-forks N full service processes behind one "
-                              "shared listener with cross-process "
+                              "pre-forks N full service processes sharing "
+                              "one port via SO_REUSEPORT, with cross-process "
                               "single-flight (see docs/service.md)")
     p_serve.add_argument("--threads", type=int, default=2, metavar="M",
                          help="job worker threads per process (default: 2)")
-    p_serve.add_argument("--listener", choices=("auto", "reuseport", "inherit"),
-                         default="auto",
-                         help="multi-process listener strategy: SO_REUSEPORT "
-                              "per-worker sockets, or one pre-fork inherited "
-                              "socket (default: auto — reuseport where the "
-                              "platform has it)")
     p_serve.add_argument("--batch-fraction", type=float, default=0.5,
                          metavar="F",
                          help="admit X-Drbw-Priority: batch jobs only while "
@@ -600,13 +594,7 @@ def _cmd_detect_json(args, want_diagnosis: bool) -> int:
 
 
 def cmd_serve(args) -> int:
-    import signal
-
-    from repro.service.mpserve import (
-        ServiceSupervisor,
-        WorkerConfig,
-        build_worker_server,
-    )
+    from repro.service.mpserve import ServiceSupervisor, WorkerConfig, serve_worker
 
     cfg = WorkerConfig(
         host=args.host,
@@ -625,7 +613,6 @@ def cmd_serve(args) -> int:
         infra_faults=args.infra_faults,
         access_log=args.access_log,
         span_log=args.spans,
-        listener=args.listener,
         batch_depth_fraction=args.batch_fraction,
     )
     if args.infra_faults:
@@ -636,25 +623,16 @@ def cmd_serve(args) -> int:
 
     if args.workers > 1:
         # Multi-process mode: the supervisor pre-forks args.workers full
-        # service processes sharing one listener, one cache directory,
+        # service processes sharing one port, one cache directory,
         # and the single-flight claim protocol.
         supervisor = ServiceSupervisor(cfg)
         code = supervisor.serve_forever()
         print("drbw serve: drained, exiting", file=sys.stderr)
         return code
 
-    server, closers = build_worker_server(cfg)
-
-    def _graceful(signum, frame) -> None:
-        print("drbw serve: signal received, draining ...", file=sys.stderr)
-        server.request_shutdown()
-
-    signal.signal(signal.SIGTERM, _graceful)
-    signal.signal(signal.SIGINT, _graceful)
-    print(f"drbw service listening on {server.url}", file=sys.stderr)
-    server.serve_forever()
-    for log in closers:
-        log.close()
+    serve_worker(cfg, on_ready=lambda server: print(
+        f"drbw service listening on {server.url}", file=sys.stderr
+    ))
     print("drbw serve: drained, exiting", file=sys.stderr)
     return 0
 

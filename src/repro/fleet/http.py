@@ -1,8 +1,8 @@
 """HTTP push ingest + scrape plane for the fleet aggregator.
 
-The same stdlib ``ThreadingHTTPServer`` idioms as the profiling service
-(:mod:`repro.service.server`) and the monitor's metrics endpoint, bound
-to one :class:`~repro.fleet.aggregator.FleetAggregator`:
+One :class:`~repro.fleet.aggregator.FleetAggregator` served on the
+package's HTTP app shell (:mod:`repro.httpapp`, shared with the
+profiling service and the monitor's metrics endpoint):
 
 ``POST /v1/fleet/ingest``  body is wire records — a JSON array or JSONL
                            — ingested in body order (per-machine order
@@ -12,7 +12,8 @@ to one :class:`~repro.fleet.aggregator.FleetAggregator`:
 ``GET  /v1/fleet/rollup``  the rollup document as canonical JSON;
 ``GET  /healthz``          liveness.
 
-A bad record answers 400 with the validation message; everything about
+A bad record, an empty body or a bad ``Content-Length`` answers 400
+with the message, a body over ``MAX_BODY_BYTES`` 413; everything about
 the aggregator is lock-protected, so concurrent pushers are safe.
 :class:`FleetClient` is the matching urllib-based pusher.
 """
@@ -20,20 +21,16 @@ the aggregator is lock-protected, so concurrent pushers are safe.
 from __future__ import annotations
 
 import json
-import logging
-import threading
 import urllib.error
 import urllib.request
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import FleetError
 from repro.fleet.aggregator import FleetAggregator
+from repro.httpapp import HttpApp, HttpError, Request
 from repro.monitor.exposition import CONTENT_TYPE
 from repro.parallel.seeding import canonical_json
 
 __all__ = ["FleetClient", "FleetServer", "MAX_BODY_BYTES"]
-
-logger = logging.getLogger(__name__)
 
 #: Push bodies are batches of small records; 8 MiB is plenty.
 MAX_BODY_BYTES = 8 << 20
@@ -49,8 +46,6 @@ def parse_push_body(body: bytes) -> list[dict]:
             records = json.loads(text)
         except json.JSONDecodeError as exc:
             raise FleetError(f"malformed JSON array body: {exc}") from exc
-        if not isinstance(records, list):  # pragma: no cover - starts with [
-            raise FleetError("ingest body must be a JSON array or JSONL")
         return records
     records = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -64,69 +59,12 @@ def parse_push_body(body: bytes) -> list[dict]:
     return records
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    aggregator: FleetAggregator  # bound by FleetServer on the subclass
-
-    def _send(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _json(self, status: int, payload: dict) -> None:
-        self._send(
-            status,
-            (canonical_json(payload) + "\n").encode("utf-8"),
-            "application/json",
-        )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
-        path = self.path.split("?", 1)[0]
-        if path in ("/metrics", "/"):
-            body = self.aggregator.render_metrics().encode("utf-8")
-            self._send(200, body, CONTENT_TYPE)
-        elif path == "/v1/fleet/rollup":
-            self._json(200, self.aggregator.rollup())
-        elif path == "/healthz":
-            self._json(200, {"status": "ok"})
-        else:
-            self._json(404, {"error": f"unknown path {path}"})
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
-        path = self.path.split("?", 1)[0]
-        if path != "/v1/fleet/ingest":
-            self._json(404, {"error": f"unknown path {path}"})
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._json(400, {"error": "bad Content-Length"})
-            return
-        if length <= 0 or length > MAX_BODY_BYTES:
-            self._json(
-                413 if length > MAX_BODY_BYTES else 400,
-                {"error": f"body length {length} not in (0, {MAX_BODY_BYTES}]"},
-            )
-            return
-        body = self.rfile.read(length)
-        try:
-            records = parse_push_body(body)
-            self.aggregator.ingest_many(records)
-        except FleetError as exc:
-            self._json(400, {"error": str(exc)})
-            return
-        self._json(
-            200,
-            {"accepted": len(records), "epochs": self.aggregator.epochs},
-        )
-
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("fleet http: " + format, *args)
-
-
-class FleetServer:
+class FleetServer(HttpApp):
     """Serve one aggregator's ingest + scrape endpoints."""
+
+    error = FleetError
+    label = "fleet endpoint"
+    max_body_bytes = MAX_BODY_BYTES
 
     def __init__(
         self,
@@ -134,57 +72,34 @@ class FleetServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        handler = type(
-            "_BoundFleetHandler", (_FleetHandler,), {"aggregator": aggregator}
-        )
-        try:
-            self._server = ThreadingHTTPServer((host, port), handler)
-        except OSError as exc:
-            raise FleetError(
-                f"cannot bind fleet endpoint on {host}:{port}: {exc}"
-            ) from exc
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
-        self._closed = False
+        self.aggregator = aggregator
+        super().__init__(host, port)
 
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
-
-    def start(self) -> FleetServer:
-        if self._closed:
-            raise FleetError("fleet server already stopped")
-        if self._thread is not None:
-            raise FleetError("fleet server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="drbw-fleet-http", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Idempotent stop that always releases the socket (the
-        constructor binds it, so even a never-started server must close)."""
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            self._server.shutdown()
-            thread.join(timeout=5.0)
-            if thread.is_alive():  # pragma: no cover - defensive
-                logger.warning("fleet server thread did not exit within 5s")
-        if not self._closed:
-            self._server.server_close()
-            self._closed = True
-
-    def __enter__(self) -> FleetServer:
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def route(self, req: Request, method: str, path: str) -> None:
+        if method == "GET":
+            if path in ("/metrics", "/"):
+                body = self.aggregator.render_metrics().encode("utf-8")
+                req.send(200, body, CONTENT_TYPE)
+                return
+            if path == "/v1/fleet/rollup":
+                # Canonical bytes: CI compares this with the rollup file.
+                body = canonical_json(self.aggregator.rollup()) + "\n"
+                req.send(200, body.encode("utf-8"), "application/json")
+                return
+            if path == "/healthz":
+                req.send_json(200, {"status": "ok"})
+                return
+        elif path == "/v1/fleet/ingest":
+            try:
+                records = parse_push_body(req.read_body())
+                self.aggregator.ingest_many(records)
+            except FleetError as exc:
+                raise HttpError(400, str(exc)) from None
+            req.send_json(
+                200, {"accepted": len(records), "epochs": self.aggregator.epochs}
+            )
+            return
+        super().route(req, method, path)
 
 
 class FleetClient:

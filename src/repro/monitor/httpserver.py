@@ -1,53 +1,28 @@
-"""Zero-dependency ``/metrics`` endpoint on the stdlib HTTP server.
+"""Zero-dependency ``/metrics`` endpoint on the package's HTTP app shell.
 
-A :class:`MetricsServer` wraps a render callable (normally
-``lambda: render_prometheus(registry)``) behind a daemon-threaded
-:class:`~http.server.ThreadingHTTPServer`.  Binding to port 0 lets the
-OS pick a free port — tests and the CLI read it back from ``.port`` —
-and rendering happens per request, so a scrape always sees the current
-registry state.
+A :class:`MetricsServer` serves a render callable (normally
+``lambda: render_prometheus(registry)``) at ``/metrics``; binding, the
+daemon thread, port-0 readback and stop come from
+:class:`~repro.httpapp.HttpApp`.  Rendering happens per request, so a
+scrape always sees the current registry state.
 """
 
 from __future__ import annotations
 
-import logging
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable
 
 from repro.errors import MonitorError
+from repro.httpapp import HttpApp, Request
 from repro.monitor.exposition import CONTENT_TYPE
 
 __all__ = ["MetricsServer"]
 
-logger = logging.getLogger(__name__)
 
-
-class _MetricsHandler(BaseHTTPRequestHandler):
-    render: Callable[[], str]  # set by MetricsServer on the subclass
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
-        if self.path.split("?", 1)[0] not in ("/metrics", "/"):
-            self.send_error(404, "only /metrics is served")
-            return
-        try:
-            body = type(self).render().encode("utf-8")
-        except Exception:  # pragma: no cover - defensive: render must not kill scrapes
-            logger.exception("metrics render failed")
-            self.send_error(500, "metrics render failed")
-            return
-        self.send_response(200)
-        self.send_header("Content-Type", CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("metrics http: " + format, *args)
-
-
-class MetricsServer:
+class MetricsServer(HttpApp):
     """Serve exposition text at ``http://host:port/metrics``."""
+
+    error = MonitorError
+    label = "metrics endpoint"
 
     def __init__(
         self,
@@ -55,59 +30,15 @@ class MetricsServer:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
-        handler = type("_BoundHandler", (_MetricsHandler,), {"render": staticmethod(render)})
-        try:
-            self._server = ThreadingHTTPServer((host, port), handler)
-        except OSError as exc:
-            raise MonitorError(
-                f"cannot bind metrics endpoint on {host}:{port}: {exc}"
-            ) from exc
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
+        self._render = render
+        super().__init__(host, port)
 
     @property
     def url(self) -> str:
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}/metrics"
+        return f"{super().url}/metrics"
 
-    def start(self) -> MetricsServer:
-        if self._closed:
-            raise MonitorError("metrics server already stopped")
-        if self._thread is not None:
-            raise MonitorError("metrics server already started")
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name="drbw-metrics",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop serving and release the socket.
-
-        Idempotent, and safe whether or not :meth:`start` ever ran: the
-        constructor binds the port, so a server abandoned before (or
-        during a failed) startup must still close its socket or the port
-        leaks until process exit.
-        """
-        thread, self._thread = self._thread, None
-        if thread is not None:
-            self._server.shutdown()
-            thread.join(timeout=5.0)
-            if thread.is_alive():  # pragma: no cover - defensive
-                logger.warning("metrics server thread did not exit within 5s")
-        if not self._closed:
-            self._server.server_close()
-            self._closed = True
-
-    def __enter__(self) -> MetricsServer:
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def route(self, req: Request, method: str, path: str) -> None:
+        if method == "GET" and path in ("/metrics", "/"):
+            req.send(200, self._render().encode("utf-8"), CONTENT_TYPE)
+            return
+        super().route(req, method, path)

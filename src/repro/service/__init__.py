@@ -18,8 +18,8 @@ The moving parts, one module each:
 * :mod:`~repro.service.server`    — the HTTP endpoints, backpressure
   responses (429 + ``Retry-After``), and graceful SIGTERM drain;
 * :mod:`~repro.service.mpserve`   — the ``--workers N`` pre-fork
-  supervisor: shared listener (SO_REUSEPORT or inherited socket),
-  cross-process single-flight, fleet drain;
+  supervisor: one port shared via SO_REUSEPORT, cross-process
+  single-flight, fleet drain;
 * :mod:`~repro.service.admission` — priority classes
   (``X-Drbw-Priority``) layered over the token buckets;
 * :mod:`~repro.service.metricsagg` — ``/metrics`` snapshot merge so any
@@ -50,7 +50,7 @@ from repro.service.admission import (
 )
 from repro.service.client import ServiceClient, parse_retry_after
 from repro.service.coalescer import Coalescer
-from repro.service.mpserve import ServiceSupervisor, WorkerConfig, build_worker_server
+from repro.service.mpserve import ServiceSupervisor, WorkerConfig, serve_worker
 from repro.service.jobspec import (
     JOB_KINDS,
     execute_job,
@@ -90,7 +90,6 @@ __all__ = [
     "ServiceSupervisor",
     "TokenBucket",
     "WorkerConfig",
-    "build_worker_server",
     "TRACE_HEADER",
     "TraceContext",
     "execute_job",
@@ -100,5 +99,6 @@ __all__ = [
     "parse_retry_after",
     "parse_trace_header",
     "read_access_log",
+    "serve_worker",
     "validate_access_record",
 ]

@@ -2,16 +2,17 @@
 
 One supervisor process pre-forks ``N`` worker processes, each a complete
 single-process service (HTTP handler threads + job worker threads +
-warm-result cache), all answering on **one** host:port:
-
-* **SO_REUSEPORT** (Linux, macOS): every worker binds its own listening
-  socket to the shared port and the kernel load-balances accepted
-  connections across them.  The supervisor binds first only to reserve
-  the port (and resolve ``port=0``), then closes its socket once every
-  worker has reported ready — the supervisor never accepts.
-* **Inherited-socket pre-fork** (portable fallback): the supervisor
-  binds one listening socket and forks; every worker accepts from the
-  shared inherited socket.
+warm-result cache), all answering on **one** host:port.  Every worker
+binds its own ``SO_REUSEPORT`` socket to that port
+(:attr:`~repro.httpapp.HttpApp.reuse_port`) and the kernel
+load-balances accepted connections across them.  The supervisor binds
+first only to reserve the port (and resolve ``port=0``), then closes
+its socket once every worker has reported ready — it never accepts.
+``SO_REUSEPORT`` is the one pre-fork topology: workers sharing a single
+forked socket can lose the ``select`` race to a sibling and block in
+``accept()`` through a shutdown, never draining.  A platform without
+``SO_REUSEPORT`` gets a :class:`~repro.errors.ServiceError` for
+``--workers`` > 1; ``--workers 1`` never needs it.
 
 What makes N processes *one service*:
 
@@ -43,13 +44,14 @@ import multiprocessing
 import os
 import shutil
 import signal
-import socket
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from repro.errors import ServiceError
+from repro.httpapp import HttpApp
 from repro.jsonl import JsonlLog
 from repro.parallel.cache import ResultCache
 from repro.service.accesslog import AccessLog
@@ -58,7 +60,7 @@ from repro.service.jobstore import JobStore
 from repro.service.queue import SERVICE_CACHE_SCHEMA, ServiceQueue
 from repro.service.server import ServiceServer
 
-__all__ = ["WorkerConfig", "ServiceSupervisor", "build_worker_server"]
+__all__ = ["WorkerConfig", "ServiceSupervisor", "serve_worker"]
 
 logger = logging.getLogger(__name__)
 
@@ -76,8 +78,8 @@ class WorkerConfig:
     """Plain-data serve configuration, shared by supervisor and workers.
 
     Everything here is JSON-able on purpose: workers rebuild their whole
-    stack from this one value after the fork, so nothing live (sockets
-    aside) crosses the process boundary.
+    stack from this one value after the fork, so nothing live crosses
+    the process boundary.
     """
 
     host: str = "127.0.0.1"
@@ -103,54 +105,36 @@ class WorkerConfig:
     #: Shared per-job record directory: any worker can answer status and
     #: result polls for jobs accepted by a sibling (supervisor fills it in).
     jobs_dir: str | None = None
-    #: Listener strategy: ``auto`` picks SO_REUSEPORT when the platform
-    #: has it, else the inherited-socket pre-fork; tests pin one.
-    listener: str = "auto"
     batch_depth_fraction: float = 0.5
     single_flight_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
-        if self.listener not in ("auto", "reuseport", "inherit"):
-            raise ServiceError(
-                f"listener must be auto|reuseport|inherit, got {self.listener!r}"
-            )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
-def _reuseport_available() -> bool:
-    return hasattr(socket, "SO_REUSEPORT")
+class _PortReservation(HttpApp):
+    """The supervisor's never-served ``SO_REUSEPORT`` bind of the port."""
+
+    error = ServiceError
+    label = "service"
+    reuse_port = True
 
 
-def _bind_listener(host: str, port: int, *, reuseport: bool) -> socket.socket:
-    """One bound+listening TCP socket, optionally SO_REUSEPORT-shared."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    try:
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if reuseport:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-        sock.bind((host, port))
-        sock.listen(128)
-    except OSError as exc:
-        sock.close()
-        raise ServiceError(f"cannot bind service on {host}:{port}: {exc}") from exc
-    return sock
-
-
-def build_worker_server(
+def serve_worker(
     cfg: WorkerConfig,
     worker_index: int = 0,
-    listener: socket.socket | None = None,
-) -> tuple[ServiceServer, list]:
-    """One complete service stack from plain config.
+    on_ready: Callable[[ServiceServer], None] | None = None,
+) -> None:
+    """Build one complete service stack from plain config and serve it
+    until SIGTERM/SIGINT has drained it.
 
-    Shared by the single-process CLI path (``worker_index=0``, no
-    listener, ``cfg.workers == 1``) and by every pre-forked worker, so
-    the two modes cannot drift apart.  Returns the server plus the
-    closeable log writers the caller must close after serving.
+    The single-process CLI path (``worker_index=0``, ``cfg.workers ==
+    1``) and every pre-forked worker (whose shared metrics directory
+    makes it bind with ``SO_REUSEPORT``) run exactly this, so the two
+    modes cannot drift apart.
+    ``on_ready(server)`` runs once the server is bound.  Returning means
+    the requested drain completed: every accepted job finished.
     """
     worker_tag = f"w{worker_index}"
     multiproc = cfg.workers > 1
@@ -222,42 +206,35 @@ def build_worker_server(
         admission=AdmissionController(cfg.batch_depth_fraction),
         metrics_dir=cfg.metrics_dir if multiproc else None,
         worker_id=worker_tag,
-        listen_socket=listener,
     )
-    closers = [log for log in (access_log, span_log) if log is not None]
-    return server, closers
-
-
-def _worker_main(
-    cfg: WorkerConfig,
-    worker_index: int,
-    listener: socket.socket,
-    reuseport: bool,
-    ready,
-) -> None:
-    """A worker process: build the stack, signal ready, serve until SIGTERM."""
-    if reuseport:
-        # The fork handed us a copy of the supervisor's port-reservation
-        # socket.  Close it *before* binding our own: a forgotten copy
-        # would keep that socket alive as an N+1th listener receiving a
-        # share of connections nobody ever accepts.
-        listener.close()
-        listener = _bind_listener(cfg.host, cfg.port, reuseport=True)
-    server, closers = build_worker_server(cfg, worker_index, listener)
 
     def _graceful(signum, frame) -> None:
+        print("drbw serve: signal received, draining ...", file=sys.stderr)
         server.request_shutdown()
 
     signal.signal(signal.SIGTERM, _graceful)
     signal.signal(signal.SIGINT, _graceful)
-    ready.set()
+    if on_ready is not None:
+        on_ready(server)
     try:
         server.serve_forever()
     finally:
-        for log in closers:
-            log.close()
-    # serve_forever returns only after a requested drain completed:
-    # exiting 0 is the worker's "no accepted job was lost" receipt.
+        for log in (access_log, span_log):
+            if log is not None:
+                log.close()
+
+
+def _worker_main(
+    cfg: WorkerConfig, worker_index: int, reservation: HttpApp, ready
+) -> None:
+    """A worker process: serve until SIGTERM; exiting 0 is its receipt
+    that no accepted job was lost."""
+    # The fork handed us a copy of the supervisor's port-reservation
+    # socket.  Close it *before* binding our own: a forgotten copy would
+    # keep that socket alive as an N+1th member of the port group,
+    # receiving a share of connections nobody ever accepts.
+    reservation.stop()
+    serve_worker(cfg, worker_index, on_ready=lambda server: ready.set())
 
 
 class ServiceSupervisor:
@@ -267,29 +244,19 @@ class ServiceSupervisor:
         if cfg.workers < 2:
             raise ServiceError("ServiceSupervisor needs workers >= 2; "
                                "run ServiceServer directly for one process")
-        strategy = cfg.listener
-        if strategy == "auto":
-            strategy = "reuseport" if _reuseport_available() else "inherit"
-        if strategy == "reuseport" and not _reuseport_available():
-            raise ServiceError("SO_REUSEPORT is not available on this platform")
-        self.strategy = strategy
-        self._owns_metrics_dir = cfg.metrics_dir is None
-        if cfg.metrics_dir is None:
-            cfg = replace(
-                cfg, metrics_dir=tempfile.mkdtemp(prefix="drbw-mpserve-metrics-")
-            )
-        self._owns_jobs_dir = cfg.jobs_dir is None
-        if cfg.jobs_dir is None:
-            cfg = replace(
-                cfg, jobs_dir=tempfile.mkdtemp(prefix="drbw-mpserve-jobs-")
-            )
-        self.cfg = cfg
-        # Worker processes are forked, not spawned: the inherited-socket
-        # strategy requires FD inheritance, and fork keeps both paths on
-        # one code shape.
+        # Shared directories the caller did not pick live in one
+        # temporary tree that the supervisor removes when it is done.
+        self._tmp = tempfile.mkdtemp(prefix="drbw-mpserve-")
+        self.cfg = replace(
+            cfg,
+            metrics_dir=cfg.metrics_dir or os.path.join(self._tmp, "metrics"),
+            jobs_dir=cfg.jobs_dir or os.path.join(self._tmp, "jobs"),
+        )
+        # Worker processes are forked, not spawned: each starts from the
+        # supervisor's imported modules and its copy of the reservation.
         self._ctx = multiprocessing.get_context("fork")
         self._procs: list = []
-        self._listener: socket.socket | None = None
+        self._reservation: HttpApp | None = None
         self._shutdown_requested = False
         self.port = cfg.port
 
@@ -301,20 +268,21 @@ class ServiceSupervisor:
         """Bind, fork every worker, and wait until all are accepting."""
         if self._procs:
             raise ServiceError("supervisor already started")
-        reuseport = self.strategy == "reuseport"
-        # Bound either way: under reuseport this only reserves the port
-        # (and resolves port=0); the workers bind their own sockets.
-        self._listener = _bind_listener(
-            self.cfg.host, self.cfg.port, reuseport=reuseport
-        )
-        self.port = self._listener.getsockname()[1]
+        # Only reserves the port (and resolves port=0), failing fast when
+        # it is taken; the workers bind their own sockets to it.
+        try:
+            self._reservation = _PortReservation(self.cfg.host, self.cfg.port)
+        except ServiceError:
+            self._cleanup()
+            raise
+        self.port = self._reservation.port
         cfg = replace(self.cfg, port=self.port)
         events = []
         for i in range(cfg.workers):
             ready = self._ctx.Event()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(cfg, i, self._listener, reuseport, ready),
+                args=(cfg, i, self._reservation, ready),
                 name=f"drbw-serve-{i}",
             )
             proc.start()
@@ -323,14 +291,13 @@ class ServiceSupervisor:
         deadline = time.monotonic() + READY_TIMEOUT_S
         for i, ready in enumerate(events):
             if not ready.wait(timeout=max(0.0, deadline - time.monotonic())):
-                self.terminate(sigkill=True)
+                self.terminate()
                 raise ServiceError(f"worker {i} did not become ready within "
                                    f"{READY_TIMEOUT_S:g}s")
-        # Every worker is accepting; the supervisor's socket has done its
-        # job (port reservation / fork inheritance) and closes so that,
-        # under reuseport, the kernel stops routing connections to it.
-        self._listener.close()
-        self._listener = None
+        # Every worker is accepting; the reservation has done its job and
+        # closes so the kernel stops routing connections to it.
+        self._reservation.stop()
+        self._reservation = None
         return self
 
     def request_shutdown(self) -> None:
@@ -343,11 +310,11 @@ class ServiceSupervisor:
                 except OSError:
                     pass
 
-    def terminate(self, *, sigkill: bool = False) -> None:
-        """Hard-stop every worker (failure paths and tests)."""
+    def terminate(self) -> None:
+        """Kill every worker (the failed-start path)."""
         for proc in self._procs:
             if proc.is_alive():
-                proc.kill() if sigkill else proc.terminate()
+                proc.kill()
         for proc in self._procs:
             proc.join(timeout=10.0)
         self._cleanup()
@@ -400,16 +367,13 @@ class ServiceSupervisor:
         signal.signal(signal.SIGINT, _graceful)
         print(
             f"drbw service listening on {self.url} "
-            f"({self.cfg.workers} workers, {self.strategy} listener)",
+            f"({self.cfg.workers} workers)",
             file=sys.stderr,
         )
         return self.wait()
 
     def _cleanup(self) -> None:
-        if self._listener is not None:
-            self._listener.close()
-            self._listener = None
-        if self._owns_metrics_dir and self.cfg.metrics_dir:
-            shutil.rmtree(self.cfg.metrics_dir, ignore_errors=True)
-        if self._owns_jobs_dir and self.cfg.jobs_dir:
-            shutil.rmtree(self.cfg.jobs_dir, ignore_errors=True)
+        if self._reservation is not None:
+            self._reservation.stop()
+            self._reservation = None
+        shutil.rmtree(self._tmp, ignore_errors=True)

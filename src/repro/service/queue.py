@@ -34,6 +34,7 @@ breaker is open.  See ``docs/robustness.md``.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import queue as _stdqueue
@@ -357,10 +358,7 @@ class ServiceQueue:
             f"after {job.attempts} attempt(s)"
         )
         for j in (job, *followers):
-            j.finished_s = now
-            j.state = "failed"
-            j.error = error
-            self._log_job_locked(j)
+            self._finish_locked(j, state="failed", error=error, finished_s=now)
         self.metrics.counter("service.jobs_failed").inc(1 + len(followers))
         logger.warning("job %s failed by watchdog: %s", job.id, error)
 
@@ -387,14 +385,18 @@ class ServiceQueue:
 
     # -- request-path observability ----------------------------------------------
 
-    def _log_job_locked(self, job: Job) -> None:
-        """One access-log ``job`` record for a job reaching a terminal state.
+    def _finish_locked(self, job: Job, state: str, **fields) -> None:
+        """Move ``job`` to terminal ``state`` with ``fields``; log it.
 
-        Also republishes the job's shared record (multi-process mode), so
-        sibling workers serve the terminal state — this is the single
-        hook every terminal transition already goes through.
+        Status handlers read the job without the queue lock, so the shared
+        record goes out *before* the in-memory job turns terminal (once a
+        poll says ``done``, every sibling serves the result) and ``state``
+        is set last (a reader that sees it also sees the result or error).
         """
-        self.store.publish(job)
+        self.store.publish(dataclasses.replace(job, state=state, **fields))
+        for name, value in fields.items():
+            setattr(job, name, value)
+        job.state = state
         if self._access_log is None:
             return
         wait = job.queue_wait_s()
@@ -456,13 +458,13 @@ class ServiceQueue:
                 if cached is not None:
                     job = self.store.create(normalized, key)
                     job.trace_id = trace.trace_id
-                    job.state = "done"
-                    job.cache_hit = True
-                    job.result_text = canonical_json(cached)
-                    job.finished_s = time.monotonic()
+                    self._finish_locked(
+                        job, state="done", cache_hit=True,
+                        result_text=canonical_json(cached),
+                        finished_s=time.monotonic(),
+                    )
                     self.metrics.counter("service.cache_hits").inc()
                     self.metrics.counter("service.jobs_done").inc()
-                    self._log_job_locked(job)
                     return job
 
             job = self.store.create(normalized, key)
@@ -470,11 +472,11 @@ class ServiceQueue:
             try:
                 self._q.put_nowait(job)
             except _stdqueue.Full:
-                job.state = "failed"
-                job.error = "rejected: queue full"
-                job.finished_s = time.monotonic()
+                self._finish_locked(
+                    job, state="failed", error="rejected: queue full",
+                    finished_s=time.monotonic(),
+                )
                 self.metrics.counter("service.jobs_rejected").inc()
-                self._log_job_locked(job)
                 raise ServiceSaturatedError(
                     f"job queue full ({self.capacity} deep); retry later",
                     retry_after=self.retry_after_s,
@@ -583,15 +585,13 @@ class ServiceQueue:
                 self.metrics.counter("service.results_abandoned").inc()
                 return True
             followers = self._coalescer.complete(job.key)
+            terminal = (
+                {"state": "done", "result_text": result_text} if error is None
+                else {"state": "failed", "error": error}
+            )
             now = time.monotonic()
             for j in (job, *followers):
-                j.finished_s = now
-                if error is None:
-                    j.state = "done"
-                    j.result_text = result_text
-                else:
-                    j.state = "failed"
-                    j.error = error
+                self._finish_locked(j, finished_s=now, **terminal)
             n = 1 + len(followers)
             if error is None:
                 self.metrics.counter("service.jobs_done").inc(n)
@@ -602,8 +602,6 @@ class ServiceQueue:
             self.metrics.histogram(
                 "service.job_seconds", JOB_SECONDS_BUCKETS
             ).observe(elapsed)
-            for j in (job, *followers):
-                self._log_job_locked(j)
             if tel.enabled:
                 # Tag every worker span with the submitting request's
                 # trace before merging, so an access-log trace_id resolves

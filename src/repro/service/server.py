@@ -1,4 +1,4 @@
-"""The stdlib HTTP front-end: ``drbw serve``.
+"""The HTTP front-end of ``drbw serve``, on the package's app shell.
 
 Endpoints (all JSON unless noted):
 
@@ -25,26 +25,23 @@ work that was ever acknowledged with a 202.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ServiceError, ServiceSaturatedError
+from repro.httpapp import HttpApp, HttpError, Request
 from repro.monitor.exposition import CONTENT_TYPE, render_prometheus_multi
 from repro.service.accesslog import AccessLog
 from repro.service.admission import PRIORITY_HEADER, AdmissionController
-from repro.service.jobstore import Job
 from repro.service.metricsagg import (
     merge_registry_dicts,
     read_snapshots,
     write_snapshot,
 )
 from repro.service.queue import ServiceQueue, TokenBucket, WAIT_SECONDS_BUCKETS
-from repro.service.trace import TRACE_HEADER, TraceContext, mint_trace, parse_trace_header
+from repro.service.trace import TRACE_HEADER, mint_trace, parse_trace_header
 
 __all__ = ["ServiceServer", "MAX_BODY_BYTES", "REQUEST_SECONDS_BUCKETS"]
 
@@ -69,234 +66,7 @@ BUCKET_IDLE_TTL_S = 300.0
 METRICS_PUBLISH_INTERVAL_S = 1.0
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    service: ServiceServer  # bound by ServiceServer on the subclass
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def _send(self, status: int, body: bytes, content_type: str,
-              extra: dict[str, str] | None = None) -> None:
-        self._sent_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.send_header(TRACE_HEADER, self._trace.header_value())
-        for k, v in (extra or {}).items():
-            self.send_header(k, v)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _json(self, status: int, payload: dict,
-              extra: dict[str, str] | None = None) -> None:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        self._send(status, body, "application/json", extra)
-
-    def _error(self, status: int, message: str,
-               extra: dict[str, str] | None = None) -> None:
-        self._json(status, {"error": message}, extra)
-
-    def log_message(self, format: str, *args: object) -> None:
-        logger.debug("service http: " + format, *args)
-
-    # -- request-path observability ----------------------------------------------
-
-    @staticmethod
-    def _endpoint(path: str) -> str:
-        if path in ("/healthz", "/readyz", "/metrics"):
-            return path[1:]
-        if path == "/v1/jobs":
-            return "submit"
-        if path.startswith("/v1/jobs/"):
-            return "result" if path.endswith("/result") else "status"
-        return "other"
-
-    def _observe(self, route, method: str) -> None:
-        """Run one route with trace extraction, RED metrics, access log.
-
-        The trace context comes from the ``X-Drbw-Trace`` header when the
-        client sent a well-formed one, else it is minted here — every
-        request gets a trace identity, and the response echoes it back so
-        headerless clients can still correlate.
-        """
-        t0 = time.perf_counter()
-        self._sent_status: int | None = None
-        self._job: Job | None = None
-        self._trace: TraceContext = (
-            parse_trace_header(self.headers.get(TRACE_HEADER)) or mint_trace()
-        )
-        path = self.path.split("?", 1)[0]
-        try:
-            route(path)
-        finally:
-            self.service.observe_request(
-                method=method,
-                path=path,
-                endpoint=self._endpoint(path),
-                # A route that died before sending anything surfaces as a
-                # connection reset to the client; account it as a 500.
-                status=self._sent_status if self._sent_status is not None else 500,
-                duration_s=time.perf_counter() - t0,
-                trace=self._trace,
-                job=self._job,
-            )
-
-    # -- routes -----------------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib handler API
-        self._observe(self._route_get, "GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler API
-        self._observe(self._route_post, "POST")
-
-    def _route_get(self, path: str) -> None:
-        if path == "/healthz":
-            self._send(200, b"ok\n", "text/plain; charset=utf-8")
-            return
-        if path == "/readyz":
-            if self.service.ready:
-                # "degraded" (cache circuit open, recent watchdog
-                # incidents) still answers 200 — the instance serves
-                # traffic — but the state/reasons let operators and
-                # probes tell a limping instance from a healthy one.
-                health = self.service.queue.health()
-                self._json(200, {
-                    "ready": True,
-                    "state": health["state"],
-                    "reasons": health["reasons"],
-                    **self.service.queue.store.counts(),
-                })
-            else:
-                self._error(503, "draining")
-            return
-        if path == "/metrics":
-            body = self.service.render_metrics().encode("utf-8")
-            self._send(200, body, CONTENT_TYPE)
-            return
-        if path.startswith("/v1/jobs/"):
-            rest = path[len("/v1/jobs/"):]
-            if rest.endswith("/result"):
-                self._get_result(rest[: -len("/result")])
-            else:
-                self._get_status(rest)
-            return
-        self._error(404, f"no route for {path}")
-
-    def _get_status(self, job_id: str) -> None:
-        try:
-            job = self.service.queue.store.get(job_id)
-        except ServiceError as exc:
-            # Multi-process mode: the job may live in a sibling worker.
-            record = self.service.queue.store.lookup_record(job_id)
-            if record is None:
-                self._error(404, str(exc))
-                return
-            self._json(200, record["payload"])
-            return
-        self._job = job
-        self._json(200, job.status_payload())
-
-    def _get_result(self, job_id: str) -> None:
-        try:
-            job = self.service.queue.store.get(job_id)
-        except ServiceError as exc:
-            record = self.service.queue.store.lookup_record(job_id)
-            if record is None:
-                self._error(404, str(exc))
-                return
-            self._result_from_record(record)
-            return
-        self._job = job
-        if job.state == "failed":
-            self._error(500, job.error or "job failed")
-            return
-        if job.state != "done":
-            self._json(409, {"error": "job not finished", "state": job.state},
-                       extra={"Retry-After": "1"})
-            return
-        # The result bytes are exactly what `drbw <kind> --json` prints:
-        # canonical JSON plus the trailing newline print() appends.
-        body = (job.result_text or "").encode("utf-8") + b"\n"
-        self._send(200, body, "application/json")
-
-    def _result_from_record(self, record: dict) -> None:
-        """Serve a sibling worker's job result from its shared record.
-
-        Same contract as the in-memory path: the record's ``result_text``
-        is the canonical bytes the accepting worker stored, so the
-        response is byte-identical wherever the poll lands.
-        """
-        payload = record["payload"]
-        state = payload.get("state")
-        if state == "failed":
-            self._error(500, payload.get("error") or "job failed")
-            return
-        if state != "done":
-            self._json(409, {"error": "job not finished", "state": state},
-                       extra={"Retry-After": "1"})
-            return
-        body = (record.get("result_text") or "").encode("utf-8") + b"\n"
-        self._send(200, body, "application/json")
-
-    def _route_post(self, path: str) -> None:
-        if path != "/v1/jobs":
-            self._error(404, f"no route for {path}")
-            return
-        client = self.client_address[0]
-        limiter = self.service.limiter_for(client)
-        if limiter is not None and not limiter.try_acquire():
-            retry = max(limiter.retry_after, 0.001)
-            self.service.queue.metrics.counter("service.rate_limited").inc()
-            self._error(429, f"rate limit exceeded for {client}",
-                        extra={"Retry-After": f"{retry:.3f}"})
-            return
-        admission = self.service.admission
-        if admission is not None:
-            try:
-                decision = admission.decide(
-                    self.headers.get(PRIORITY_HEADER),
-                    self.service.queue.depth,
-                    self.service.queue.capacity,
-                )
-            except ServiceError as exc:
-                self._error(400, str(exc))
-                return
-            if not decision.admitted:
-                self.service.queue.metrics.counter(
-                    f"service.admission_rejected.{decision.priority}"
-                ).inc()
-                self._error(
-                    429, decision.reason or "admission rejected",
-                    extra={"Retry-After": f"{admission.retry_after_s:.3f}"},
-                )
-                return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._error(400, "bad Content-Length")
-            return
-        if length > MAX_BODY_BYTES:
-            self._error(413, f"body too large ({length} > {MAX_BODY_BYTES})")
-            return
-        try:
-            spec = json.loads(self.rfile.read(length))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            self._error(400, f"body is not JSON: {exc}")
-            return
-        try:
-            job = self.service.queue.submit(spec, trace=self._trace)
-        except ServiceSaturatedError as exc:
-            self._error(429, str(exc),
-                        extra={"Retry-After": f"{exc.retry_after:.3f}"})
-            return
-        except ServiceError as exc:
-            status = 503 if self.service.queue.draining else 400
-            self._error(status, str(exc))
-            return
-        self._job = job
-        self._json(202, job.status_payload())
-
-
-class ServiceServer:
+class ServiceServer(HttpApp):
     """The HTTP listener wrapping one :class:`ServiceQueue`.
 
     ``rate``/``burst`` configure the per-client token bucket
@@ -304,6 +74,10 @@ class ServiceServer:
     background thread (tests); :meth:`serve_forever` serves on the
     calling thread until :meth:`request_shutdown` (the CLI).
     """
+
+    error = ServiceError
+    label = "service"
+    max_body_bytes = MAX_BODY_BYTES
 
     def __init__(
         self,
@@ -318,7 +92,6 @@ class ServiceServer:
         admission: AdmissionController | None = None,
         metrics_dir: str | os.PathLike | None = None,
         worker_id: str = "w0",
-        listen_socket: socket.socket | None = None,
     ) -> None:
         self.queue = queue
         #: Optional priority-class gate, checked after the token buckets.
@@ -328,6 +101,8 @@ class ServiceServer:
         #: ``None`` keeps the single-process render path byte-for-byte.
         self._metrics_dir = metrics_dir
         self.worker_id = worker_id
+        #: Pre-forked workers share the supervisor's port.
+        self.reuse_port = metrics_dir is not None
         self._rate = rate
         self._burst = burst
         self._access_log = access_log
@@ -340,45 +115,13 @@ class ServiceServer:
         self._bucket_sweep_interval = max(bucket_ttl_s / 4.0, 1e-9)
         self._last_bucket_sweep = clock()
         self._buckets_lock = threading.Lock()
-        handler = type("_BoundHandler", (_ServiceHandler,), {"service": self})
-        if listen_socket is not None:
-            # A pre-bound listener from the multi-process supervisor:
-            # either the fork-inherited shared socket or this worker's
-            # own SO_REUSEPORT socket.  Adopt it instead of binding.
-            addr = listen_socket.getsockname()[:2]
-            self._server = ThreadingHTTPServer(
-                addr, handler, bind_and_activate=False
-            )
-            self._server.socket.close()
-            self._server.socket = listen_socket
-            self._server.server_address = addr
-            self._server.server_name = addr[0]
-            self._server.server_port = addr[1]
-        else:
-            try:
-                self._server = ThreadingHTTPServer((host, port), handler)
-            except OSError as exc:
-                raise ServiceError(
-                    f"cannot bind service on {host}:{port}: {exc}"
-                ) from exc
-        self._server.daemon_threads = True
-        self._thread: threading.Thread | None = None
         self._metrics_pub_stop = threading.Event()
         self._metrics_pub_thread: threading.Thread | None = None
-        self._closed = False
         self._shutdown_started = False
         self._shutdown_lock = threading.Lock()
+        super().__init__(host, port)
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        host = self._server.server_address[0]
-        return f"http://{host}:{self.port}"
 
     @property
     def ready(self) -> bool:
@@ -423,45 +166,180 @@ class ServiceServer:
                 len(idle)
             )
 
-    def observe_request(
-        self,
-        *,
-        method: str,
-        path: str,
-        endpoint: str,
-        status: int,
-        duration_s: float,
-        trace: TraceContext,
-        job: Job | None,
-    ) -> None:
-        """RED accounting + one access-log record for a finished request.
+    # -- routes -----------------------------------------------------------------
 
-        Counters are per endpoint and status class
+    @staticmethod
+    def _endpoint(path: str) -> str:
+        if path in ("/healthz", "/readyz", "/metrics"):
+            return path[1:]
+        if path == "/v1/jobs":
+            return "submit"
+        if path.startswith("/v1/jobs/"):
+            return "result" if path.endswith("/result") else "status"
+        return "other"
+
+    def handle(self, req: Request, method: str, path: str) -> None:
+        """Run one request with trace extraction, RED metrics, access log.
+
+        The trace context comes from the ``X-Drbw-Trace`` header when the
+        client sent a well-formed one, else it is minted here — every
+        request gets a trace identity, and every response echoes it back
+        so headerless clients can still correlate.
+
+        RED counters are per endpoint and status class
         (``service.http.requests.<endpoint>.<class>``); latency lands in a
         per-endpoint fixed-bucket histogram.  Both live on the queue's
         always-on lifecycle registry, so ``/metrics`` exposes them whether
         or not pipeline telemetry is enabled.
         """
-        metrics = self.queue.metrics
-        status_class = f"{status // 100}xx"
-        metrics.counter(f"service.http.requests.{endpoint}.{status_class}").inc()
-        metrics.histogram(
-            f"service.http.request_seconds.{endpoint}", REQUEST_SECONDS_BUCKETS
-        ).observe(duration_s)
-        if self._access_log is not None:
-            self._access_log.record(
-                "http",
-                method=method,
-                path=path,
-                endpoint=endpoint,
-                status=status,
-                duration_s=round(duration_s, 6),
-                trace_id=trace.trace_id,
-                span_id=trace.span_id,
-                job_id=None if job is None else job.id,
-                coalesced=None if job is None else job.coalesced,
-                cache_hit=None if job is None else job.cache_hit,
-            )
+        t0 = time.perf_counter()
+        req.job = None
+        trace = req.trace = (
+            parse_trace_header(req.headers.get(TRACE_HEADER)) or mint_trace()
+        )
+        req.reply_headers = {TRACE_HEADER: trace.header_value()}
+        try:
+            super().handle(req, method, path)
+        finally:
+            duration_s = time.perf_counter() - t0
+            endpoint = self._endpoint(path)
+            # The shell answers a crashed route with a 500; a request that
+            # never got that far is accounted as one too.
+            status = req.status if req.status is not None else 500
+            metrics = self.queue.metrics
+            metrics.counter(
+                f"service.http.requests.{endpoint}.{status // 100}xx"
+            ).inc()
+            metrics.histogram(
+                f"service.http.request_seconds.{endpoint}", REQUEST_SECONDS_BUCKETS
+            ).observe(duration_s)
+            if self._access_log is not None:
+                job = req.job
+                self._access_log.record(
+                    "http",
+                    method=method,
+                    path=path,
+                    endpoint=endpoint,
+                    status=status,
+                    duration_s=round(duration_s, 6),
+                    trace_id=trace.trace_id,
+                    span_id=trace.span_id,
+                    job_id=None if job is None else job.id,
+                    coalesced=None if job is None else job.coalesced,
+                    cache_hit=None if job is None else job.cache_hit,
+                )
+
+    def route(self, req: Request, method: str, path: str) -> None:
+        if method == "POST" and path == "/v1/jobs":
+            self._submit(req)
+        elif method != "GET":
+            super().route(req, method, path)
+        elif path == "/healthz":
+            req.send(200, b"ok\n", "text/plain; charset=utf-8")
+        elif path == "/readyz":
+            if not self.ready:
+                raise HttpError(503, "draining")
+            # "degraded" (cache circuit open, recent watchdog incidents)
+            # still answers 200 — the instance serves traffic — but the
+            # state/reasons let operators and probes tell a limping
+            # instance from a healthy one.
+            health = self.queue.health()
+            req.send_json(200, {
+                "ready": True,
+                "state": health["state"],
+                "reasons": health["reasons"],
+                **self.queue.store.counts(),
+            })
+        elif path == "/metrics":
+            req.send(200, self.render_metrics().encode("utf-8"), CONTENT_TYPE)
+        elif path.startswith("/v1/jobs/"):
+            rest = path[len("/v1/jobs/"):]
+            if rest.endswith("/result"):
+                self._get_result(req, rest[: -len("/result")])
+            else:
+                self._get_status(req, rest)
+        else:
+            super().route(req, method, path)
+
+    def _get_status(self, req: Request, job_id: str) -> None:
+        try:
+            job = self.queue.store.get(job_id)
+        except ServiceError as exc:
+            # Multi-process mode: the job may live in a sibling worker.
+            record = self.queue.store.lookup_record(job_id)
+            if record is None:
+                raise HttpError(404, str(exc)) from None
+            req.send_json(200, record["payload"])
+            return
+        req.job = job
+        req.send_json(200, job.status_payload())
+
+    def _get_result(self, req: Request, job_id: str) -> None:
+        try:
+            job = self.queue.store.get(job_id)
+        except ServiceError as exc:
+            # A sibling worker's record carries the canonical bytes the
+            # accepting worker stored, so the response is byte-identical
+            # wherever the poll lands.
+            record = self.queue.store.lookup_record(job_id)
+            if record is None:
+                raise HttpError(404, str(exc)) from None
+            payload = record["payload"]
+            self._send_result(req, payload.get("state"), payload.get("error"),
+                              record.get("result_text"))
+            return
+        req.job = job
+        self._send_result(req, job.state, job.error, job.result_text)
+
+    @staticmethod
+    def _send_result(req: Request, state: str | None, error: str | None,
+                     result_text: str | None) -> None:
+        if state == "failed":
+            raise HttpError(500, error or "job failed")
+        if state != "done":
+            req.send_json(409, {"error": "job not finished", "state": state},
+                          {"Retry-After": "1"})
+            return
+        # The result bytes are exactly what `drbw <kind> --json` prints:
+        # canonical JSON plus the trailing newline print() appends.
+        req.send(200, (result_text or "").encode("utf-8") + b"\n",
+                 "application/json")
+
+    def _submit(self, req: Request) -> None:
+        client = req.client_address[0]
+        limiter = self.limiter_for(client)
+        if limiter is not None and not limiter.try_acquire():
+            retry = max(limiter.retry_after, 0.001)
+            self.queue.metrics.counter("service.rate_limited").inc()
+            req.fail(429, f"rate limit exceeded for {client}",
+                     {"Retry-After": f"{retry:.3f}"})
+            return
+        if self.admission is not None:
+            try:
+                decision = self.admission.decide(
+                    req.headers.get(PRIORITY_HEADER),
+                    self.queue.depth,
+                    self.queue.capacity,
+                )
+            except ServiceError as exc:
+                raise HttpError(400, str(exc)) from None
+            if not decision.admitted:
+                self.queue.metrics.counter(
+                    f"service.admission_rejected.{decision.priority}"
+                ).inc()
+                req.fail(429, decision.reason or "admission rejected",
+                         {"Retry-After": f"{self.admission.retry_after_s:.3f}"})
+                return
+        spec = req.read_json()
+        try:
+            job = self.queue.submit(spec, trace=req.trace)
+        except ServiceSaturatedError as exc:
+            req.fail(429, str(exc), {"Retry-After": f"{exc.retry_after:.3f}"})
+            return
+        except ServiceError as exc:
+            raise HttpError(503 if self.queue.draining else 400, str(exc)) from None
+        req.job = job
+        req.send_json(202, job.status_payload())
 
     def _refresh_gauges(self) -> None:
         """Point-in-time occupancy gauges, set just before any export."""
@@ -495,9 +373,8 @@ class ServiceServer:
                 return
 
     def _start_metrics_publisher(self) -> None:
-        if self._metrics_dir is None or self._metrics_pub_thread is not None:
+        if self._metrics_dir is None:
             return
-        self._metrics_pub_stop.clear()
         self._metrics_pub_thread = threading.Thread(
             target=self._publish_metrics_loop,
             name="drbw-metrics-publisher",
@@ -541,28 +418,9 @@ class ServiceServer:
 
     # -- lifecycle --------------------------------------------------------------
 
-    def start(self) -> ServiceServer:
-        """Serve on a background thread (the test-facing entry point)."""
-        if self._closed:
-            raise ServiceError("service server already stopped")
-        if self._thread is not None:
-            raise ServiceError("service server already started")
+    def on_start(self) -> None:
         self.queue.start()
         self._start_metrics_publisher()
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="drbw-service", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`request_shutdown`."""
-        self.queue.start()
-        self._start_metrics_publisher()
-        try:
-            self._server.serve_forever()
-        finally:
-            self._close()
 
     def request_shutdown(self) -> None:
         """Begin a graceful drain: finish accepted jobs, then stop.
@@ -587,27 +445,15 @@ class ServiceServer:
 
     def stop(self) -> None:
         """Immediate stop for tests: drain the queue, close the listener."""
-        thread, self._thread = self._thread, None
-        if thread is not None:
+        if self._thread is not None:
             self.queue.drain()
-            self._server.shutdown()
-            thread.join(timeout=30.0)
-        self._close()
+        super().stop()
 
-    def _close(self) -> None:
-        if not self._closed:
-            self._metrics_pub_stop.set()
-            if self._metrics_pub_thread is not None:
-                self._metrics_pub_thread.join(timeout=5.0)
-                self._metrics_pub_thread = None
-                # One last snapshot so the drained totals survive for
-                # scrapes served by siblings after this worker exits.
-                self._publish_snapshot()
-            self._server.server_close()
-            self._closed = True
-
-    def __enter__(self) -> ServiceServer:
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()
+    def on_close(self) -> None:
+        self._metrics_pub_stop.set()
+        if self._metrics_pub_thread is not None:
+            self._metrics_pub_thread.join(timeout=5.0)
+            self._metrics_pub_thread = None
+            # One last snapshot so the drained totals survive for
+            # scrapes served by siblings after this worker exits.
+            self._publish_snapshot()

@@ -98,16 +98,3 @@ def test_bad_records_answer_400_and_leave_state_clean():
         assert err.value.code == 400
     assert agg.records == 0
 
-
-def test_server_lifecycle():
-    agg = FleetAggregator()
-    server = FleetServer(agg)
-    server.start()
-    with pytest.raises(FleetError, match="already started"):
-        server.start()
-    server.stop()
-    server.stop()  # idempotent
-    with pytest.raises(FleetError, match="already stopped"):
-        server.start()
-    # The port is released: a new server can bind it immediately.
-    FleetServer(agg, port=server.port).stop()

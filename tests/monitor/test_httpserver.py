@@ -1,35 +1,19 @@
-"""MetricsServer thread/socket lifecycle: the occupied-port regression.
+"""MetricsServer serves the current render at ``/metrics``.
 
-The original ``stop()`` returned early when the serving thread had never
-started, leaking the socket the constructor had already bound — a
-crash-looping supervisor would exhaust ports.  These tests pin the fixed
-contract: stop is idempotent, releases the socket with or without a
-start, and a bind failure surfaces as a typed :class:`MonitorError`
-(which the CLI maps to exit code 2).
+The bind/lifecycle/error contract it shares with the fleet and service
+servers is pinned for all three in ``tests/test_httpapp.py``; the
+start-rejection cases below check the same contract for the monitor's
+own :class:`MonitorError`.
 """
 
 from __future__ import annotations
 
-import socket
 import urllib.request
 
 import pytest
 
-from repro.errors import MonitorError, ReproError
+from repro.errors import MonitorError
 from repro.monitor.httpserver import MetricsServer
-
-
-@pytest.fixture
-def occupied_port():
-    """A TCP port held open by a plain socket for the test's duration."""
-    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    sock.bind(("127.0.0.1", 0))
-    sock.listen(1)
-    try:
-        yield sock.getsockname()[1]
-    finally:
-        sock.close()
 
 
 def test_serve_and_stop_round_trip():
@@ -37,31 +21,6 @@ def test_serve_and_stop_round_trip():
     with server:
         body = urllib.request.urlopen(server.url, timeout=5).read()
     assert b"HELP" in body
-
-
-def test_bind_failure_is_typed_error(occupied_port):
-    with pytest.raises(MonitorError) as exc_info:
-        MetricsServer(lambda: "", port=occupied_port)
-    assert isinstance(exc_info.value, ReproError)  # CLI maps this to exit 2
-    assert str(occupied_port) in str(exc_info.value)
-
-
-def test_stop_without_start_releases_socket():
-    """Construction binds the port; stop() must release it even when the
-    serving thread never ran (the startup-failed cleanup path)."""
-    server = MetricsServer(lambda: "")
-    port = server.port
-    server.stop()
-    # The port is free again: rebinding it must succeed immediately.
-    rebound = MetricsServer(lambda: "", port=port)
-    rebound.stop()
-
-
-def test_stop_is_idempotent():
-    server = MetricsServer(lambda: "")
-    server.start()
-    server.stop()
-    server.stop()  # second stop is a no-op, not an error
 
 
 def test_start_after_stop_is_rejected():
@@ -75,13 +34,3 @@ def test_double_start_is_rejected():
     with MetricsServer(lambda: "") as server:
         with pytest.raises(MonitorError):
             server.start()
-
-
-def test_context_manager_releases_port_on_body_error():
-    server = MetricsServer(lambda: "")
-    port = server.port
-    with pytest.raises(RuntimeError):
-        with server:
-            raise RuntimeError("boom")
-    rebound = MetricsServer(lambda: "", port=port)
-    rebound.stop()

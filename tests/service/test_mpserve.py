@@ -16,8 +16,9 @@ Four contracts, tested at the layer that owns each:
 
 The worker-count and drain tests drive the real CLI in subprocesses —
 the same path CI's ``mpserve-smoke`` exercises — because pre-fork
-behavior (socket inheritance, signal forwarding, exit codes) only
-exists in real processes.
+behavior (shared-port binding, signal forwarding, exit codes) only
+exists in real processes.  Each drain follows a 200-request burst and
+must finish within 30 s.
 """
 
 from __future__ import annotations
@@ -27,17 +28,27 @@ import multiprocessing
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import time
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.errors import ServiceError
 from repro.faults import InfraFaultPlan
 from repro.service.jobstore import JobStore
 from repro.parallel.cache import ResultCache
-from repro.service import SERVICE_CACHE_SCHEMA, job_key, normalize_job
+from repro.service import (
+    SERVICE_CACHE_SCHEMA,
+    ServiceQueue,
+    ServiceSupervisor,
+    WorkerConfig,
+    job_key,
+    normalize_job,
+)
 from repro.service.metricsagg import (
     merge_registry_dicts,
     read_snapshots,
@@ -107,6 +118,31 @@ class TestSharedJobRecords:
         record = sibling.lookup_record(job.id)
         assert record["payload"]["state"] == "done"
         assert record["result_text"] == '{"answer": 1}'
+
+    def test_sibling_record_is_terminal_once_owner_says_done(self, tmp_path):
+        """The shared record is written *before* the owner's job turns
+        terminal, so a status poll answering ``done`` is never followed by
+        a sibling worker's stale ``409 job not finished``."""
+        owner = JobStore(prefix="job-w0", shared_dir=tmp_path)
+        sibling = JobStore(prefix="job-w1", shared_dir=tmp_path)
+        publish = owner.publish
+
+        def slow_publish(job):
+            time.sleep(0.3)  # widen the window between flip and write
+            publish(job)
+
+        owner.publish = slow_publish
+        queue = ServiceQueue(executor=lambda spec: {"answer": 1}, workers=1,
+                             store=owner, telemetry_enabled=False).start()
+        try:
+            job = queue.submit(SPEC)
+            deadline = time.monotonic() + 30
+            while owner.get(job.id).status_payload()["state"] != "done":
+                assert time.monotonic() < deadline, "job never finished"
+                time.sleep(0.005)
+            assert sibling.lookup_record(job.id)["payload"]["state"] == "done"
+        finally:
+            queue.drain()
 
     def test_lookup_rejects_traversal_and_unknown(self, tmp_path):
         store = JobStore(prefix="job-w0", shared_dir=tmp_path)
@@ -267,6 +303,41 @@ def _run_job(url: str, spec: dict, timeout: float = 120.0) -> bytes:
     raise AssertionError(f"job {job['id']} did not finish in {timeout}s")
 
 
+def _healthz_burst(url: str, n: int = 200) -> None:
+    """``n`` concurrent ``/healthz`` requests; their answers do not matter,
+    only that the server still drains promptly after serving them."""
+
+    def one(_):
+        try:
+            with urllib.request.urlopen(f"{url}/healthz", timeout=10) as resp:
+                resp.read()
+        except OSError:
+            pass
+
+    with ThreadPoolExecutor(max_workers=n) as pool:
+        list(pool.map(one, range(n)))
+
+
+class TestSharedPort:
+    def test_workers_without_reuseport_is_a_clear_error(self, monkeypatch):
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        supervisor = ServiceSupervisor(WorkerConfig(port=0, workers=2))
+        with pytest.raises(ServiceError, match="SO_REUSEPORT"):
+            supervisor.start()
+        # The supervisor's temporary shared directories are gone too.
+        assert not os.path.exists(supervisor.cfg.jobs_dir)
+
+    def test_occupied_port_fails_before_forking(self):
+        with socket.socket() as blocker:
+            blocker.bind(("127.0.0.1", 0))
+            blocker.listen(1)
+            port = blocker.getsockname()[1]
+            supervisor = ServiceSupervisor(WorkerConfig(port=port, workers=2))
+            with pytest.raises(ServiceError, match=f"cannot bind service on .*:{port}"):
+                supervisor.start()
+        assert supervisor._procs == []
+
+
 class TestWorkerCountIdentity:
     def test_results_byte_identical_at_1_2_4_workers_and_drain_exits_0(
         self, tmp_path
@@ -276,10 +347,11 @@ class TestWorkerCountIdentity:
             proc, url = _start_serve(tmp_path, workers)
             try:
                 results[workers] = _run_job(url, SPEC)
+                _healthz_burst(url)
             finally:
                 proc.send_signal(signal.SIGTERM)
                 try:
-                    proc.wait(timeout=120)
+                    proc.wait(timeout=30)
                 except subprocess.TimeoutExpired:
                     proc.kill()
                     raise

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import socket
 import threading
 import time
 import urllib.request
@@ -280,19 +279,6 @@ class TestLifecycle:
         server.queue._draining = False
         gated.gate.set()
         server.stop()
-
-    def test_occupied_port_is_typed_error(self, gated):
-        blocker = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        blocker.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        blocker.bind(("127.0.0.1", 0))
-        blocker.listen(1)
-        try:
-            port = blocker.getsockname()[1]
-            q = ServiceQueue(executor=gated, telemetry_enabled=False)
-            with pytest.raises(ServiceError, match=str(port)):
-                ServiceServer(q, port=port)
-        finally:
-            blocker.close()
 
 
 class TestByteIdentity:
