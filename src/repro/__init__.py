@@ -34,19 +34,15 @@ Quickstart::
     print(report.top(3))
 """
 
-from repro.core import Diagnoser, DrBwClassifier, DrBwProfiler
-from repro.numasim import Machine
-from repro.types import Channel, MemLevel, Mode
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Machine",
-    "DrBwProfiler",
-    "DrBwClassifier",
-    "Diagnoser",
-    "Channel",
-    "MemLevel",
-    "Mode",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.diagnoser": ("Diagnoser",),
+    "repro.core.classifier": ("DrBwClassifier",),
+    "repro.core.profiler": ("DrBwProfiler",),
+    "repro.numasim.machine": ("Machine",),
+    "repro.types": ("Channel", "MemLevel", "Mode"),
+})
+__all__ = [*__all__, "__version__"]

@@ -56,50 +56,46 @@ metrics, and per-channel timelines, exported as a run artifact that
 unknown benchmark, bad configuration, malformed model file, invalid
 fault spec, broken artifact — prints one line to stderr and exits with
 status 2.
+
+This module holds only the argument parser and a dispatch table
+(:data:`COMMANDS`) mapping each command to the function that runs it in
+:mod:`repro.commands`; :func:`main` imports that one module when its
+command runs.  Importing the CLI therefore loads neither numpy nor the
+pipeline, and ``list`` never does.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import importlib
 import logging
 import sys
 
-from repro import telemetry
-from repro.core.classifier import DrBwClassifier, classify_case
-from repro.core.diagnoser import Diagnoser
-from repro.core.profiler import DrBwProfiler, ProfilerConfig
-from repro.core.report import (
-    format_channel_labels,
-    format_channel_verdicts,
-    format_degradation,
-    format_diagnosis,
-    suggest_remedy,
-)
-from repro.core.training import train_default_classifier, training_matrix
-from repro.core.validation import cross_validate
-from repro.errors import ConfigError, ReproError
-from repro.eval.configs import config_by_name
-from repro.faults import FAULT_PRESETS, INFRA_PRESETS, parse_fault_plan
-from repro.numasim.machine import Machine
+from repro.errors import ReproError
 
-# The telemetry-payload JSON fragments are shared with the service's job
-# executor so the CLI and service outputs can never drift.
-from repro.service.jobspec import (
-    degradation_payload as _degradation_payload,
-    diagnosis_payload as _diagnosis_payload,
-    verdicts_payload as _verdicts_payload,
-)
-from repro.telemetry.artifact import (
-    collect_metadata,
-    export_artifact,
-    load_artifact,
-)
-from repro.telemetry.dashboard import render_dashboard, render_stage_table
-from repro.types import Mode
-from repro.workloads.suites.registry import BENCHMARKS
+__all__ = ["main", "build_parser", "COMMANDS"]
 
-__all__ = ["main", "build_parser"]
+#: Command -> (module, function).  :func:`main` imports the module only
+#: when its command runs.
+COMMANDS: dict[str, tuple[str, str]] = {
+    "train": ("repro.commands.train", "cmd_train"),
+    "detect": ("repro.commands.detect", "cmd_detect"),
+    "diagnose": ("repro.commands.detect", "cmd_diagnose"),
+    "campaign": ("repro.commands.campaign", "cmd_campaign"),
+    "monitor": ("repro.commands.monitor", "cmd_monitor"),
+    "fleet": ("repro.commands.fleet", "cmd_fleet"),
+    "serve": ("repro.commands.serve", "cmd_serve"),
+    "loadgen": ("repro.commands.loadgen", "cmd_loadgen"),
+    "report": ("repro.commands.report", "cmd_report"),
+    "list": ("repro.commands.listing", "cmd_list"),
+}
+
+#: The names of :data:`repro.faults.FAULT_PRESETS` and
+#: :data:`repro.faults.INFRA_PRESETS`, for the help text: importing
+#: :mod:`repro.faults` would load numpy and the engine just to build the
+#: parser.  ``tests/test_cli_imports.py`` keeps them in sync.
+FAULT_PRESET_NAMES = ("none", "light", "standard", "heavy")
+INFRA_PRESET_NAMES = ("none", "chaos-standard", "chaos-heavy")
 
 #: Default artifact directory for a bare ``--telemetry``.
 DEFAULT_TELEMETRY_DIR = "drbw-telemetry"
@@ -170,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="per-shard deadline in seconds (default: none)")
     p_camp.add_argument("--infra-faults", default=None, metavar="PLAN",
                         help="inject infrastructure faults: a preset "
-                             f"({', '.join(INFRA_PRESETS)}) or key=value "
+                             f"({', '.join(INFRA_PRESET_NAMES)}) or key=value "
                              "pairs, e.g. kill=0.3,enospc=0.2,seed=7 "
                              "(chaos testing; results stay byte-identical)")
     p_camp.add_argument("--quarantine", action="store_true",
@@ -191,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--faults", default=None, metavar="PLAN",
                        help="inject collection faults: a preset "
-                            f"({', '.join(FAULT_PRESETS)}) or key=value pairs, "
+                            f"({', '.join(FAULT_PRESET_NAMES)}) or key=value pairs, "
                             "e.g. drop=0.1,corrupt=0.01,seed=7")
         p.add_argument("--json", action="store_true",
                        help="print the result as one canonical-JSON line "
@@ -213,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mon.add_argument("--seed", type=int, default=0)
     p_mon.add_argument("--faults", default=None, metavar="PLAN",
                        help="inject collection faults: a preset "
-                            f"({', '.join(FAULT_PRESETS)}) or key=value pairs")
+                            f"({', '.join(FAULT_PRESET_NAMES)}) or key=value pairs")
     p_mon.add_argument("--window", type=int, default=8, metavar="W",
                        help="sliding window width in intervals (default: 8)")
     p_mon.add_argument("--interval", type=float, default=None, metavar="CYCLES",
@@ -258,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "workload (default: 0.5)")
     p_fleet.add_argument("--faults", default=None, metavar="PLAN",
                          help="collection fault plan for the faulted subset: "
-                              f"a preset ({', '.join(FAULT_PRESETS)}) or "
+                              f"a preset ({', '.join(FAULT_PRESET_NAMES)}) or "
                               "key=value pairs")
     p_fleet.add_argument("--faulted-fraction", type=float, default=0.25,
                          metavar="F",
@@ -448,800 +444,12 @@ def _setup_logging(args) -> None:
     )
 
 
-def _load_or_train(model_path: str | None, seed: int, machine: Machine) -> DrBwClassifier:
-    if model_path:
-        return DrBwClassifier.load(model_path)
-    print("no --model given; training on the mini-programs ...", file=sys.stderr)
-    clf, _ = train_default_classifier(machine, seed=seed)
-    return clf
-
-
-def _resolve_benchmark(args) -> tuple:
-    try:
-        spec = BENCHMARKS[args.benchmark]
-    except KeyError:
-        raise ConfigError(
-            f"unknown benchmark {args.benchmark!r}; try `list`"
-        ) from None
-    inp = args.input or spec.inputs[-1]
-    if inp not in spec.inputs:
-        raise ConfigError(f"{spec.name} has inputs {spec.inputs}, not {inp!r}")
-    return spec, inp
-
-
-def _profiler_config(args) -> ProfilerConfig:
-    if not getattr(args, "faults", None):
-        return ProfilerConfig()
-    plan = parse_fault_plan(args.faults)
-    # Under lossy collection, retry channels that came back below the
-    # classifier's support floor (see docs/robustness.md).
-    from repro.core.classifier import MIN_CHANNEL_SUPPORT
-
-    return ProfilerConfig(
-        faults=plan,
-        resample_floor=MIN_CHANNEL_SUPPORT,
-        resample_attempts=3,
-    )
-
-
-# -- commands ---------------------------------------------------------------------
-
-
-def cmd_train(args) -> int:
-    machine = Machine()
-    tel = telemetry.Telemetry(enabled=args.telemetry is not None)
-    with telemetry.session(tel):
-        clf, instances = train_default_classifier(
-            machine, seed=args.seed, jobs=getattr(args, "jobs", None)
-        )
-        X, y = training_matrix(list(instances))
-        cv = cross_validate(clf, X, y, k=10, seed=args.seed)
-    print(f"trained on {len(instances)} runs; 10-fold CV accuracy {cv.accuracy:.1%}")
-    print(clf.render_tree())
-    with open(args.model, "w") as fh:
-        json.dump(clf.to_dict(), fh, indent=2)
-    print(f"model saved to {args.model}")
-    if args.telemetry:
-        meta = collect_metadata("train", args.seed, machine.topology,
-                                model=args.model)
-        results = {
-            "cv_accuracy": cv.accuracy,
-            "n_instances": len(instances),
-        }
-        export_artifact(args.telemetry, tel, meta, results)
-        print(f"telemetry artifact written to {args.telemetry}", file=sys.stderr)
-    return 0
-
-
-def cmd_detect(args, want_diagnosis: bool = False) -> int:
-    if getattr(args, "json", False):
-        return _cmd_detect_json(args, want_diagnosis)
-    # Validate everything cheap (benchmark, config, fault plan) before the
-    # expensive model load/train.
-    spec, inp = _resolve_benchmark(args)
-    cfg = config_by_name(args.config)
-    profiler_cfg = _profiler_config(args)
-    machine = Machine()
-    tel = telemetry.Telemetry(enabled=args.telemetry is not None)
-    diagnosis = None
-    with telemetry.session(tel):
-        clf = _load_or_train(args.model, args.seed, machine)
-
-        workload = spec.build(inp)
-        profile = DrBwProfiler(machine, profiler_cfg).profile(
-            workload, cfg.n_threads, cfg.n_nodes, seed=args.seed
-        )
-        verdicts = clf.classify_profile_detailed(profile)
-        labels = {ch: v.mode for ch, v in verdicts.items()}
-        print(f"{spec.name} ({inp}) under {cfg.name}:")
-        if profiler_cfg.faults is not None:
-            print(format_channel_verdicts(verdicts))
-            print(format_degradation(profile.dropped))
-        else:
-            print(format_channel_labels(labels))
-        verdict = classify_case(labels)
-        print(f"case verdict: {verdict}")
-
-        if want_diagnosis:
-            if verdict is not Mode.RMC:
-                print("nothing to diagnose: no contended channel")
-            else:
-                diagnosis = Diagnoser().diagnose(profile, labels)
-                print()
-                print(format_diagnosis(diagnosis))
-                top = diagnosis.top(1)[0]
-                print(f"\nsuggested remedy for {top.name!r}: {suggest_remedy(top)}")
-
-    if args.telemetry:
-        meta = collect_metadata(
-            "diagnose" if want_diagnosis else "detect",
-            args.seed,
-            machine.topology,
-            faults=profiler_cfg.faults,
-            benchmark=spec.name,
-            input=inp,
-            config=cfg.name,
-        )
-        results = {
-            "channel_verdicts": _verdicts_payload(verdicts),
-            "case_verdict": verdict.value,
-            "degradation": _degradation_payload(profile.dropped),
-            "diagnosis": _diagnosis_payload(diagnosis) if diagnosis else None,
-        }
-        export_artifact(args.telemetry, tel, meta, results)
-        print(f"telemetry artifact written to {args.telemetry}", file=sys.stderr)
-    return 0 if verdict is Mode.GOOD else 2
-
-
-def _cmd_detect_json(args, want_diagnosis: bool) -> int:
-    """``--json``: run the job exactly as the service would and print its
-    canonical bytes.  One executor, two transports — that is the whole
-    byte-identity guarantee."""
-    from repro.parallel.seeding import canonical_json
-    from repro.service.jobspec import execute_job
-
-    result = execute_job({
-        "kind": "diagnose" if want_diagnosis else "detect",
-        "benchmark": args.benchmark,
-        "input": args.input,
-        "config": args.config,
-        "seed": args.seed,
-        "faults": args.faults,
-        "model": args.model,
-    })
-    print(canonical_json(result))
-    return 0 if result["case_verdict"] == Mode.GOOD.value else 2
-
-
-def cmd_serve(args) -> int:
-    from repro.service.mpserve import ServiceSupervisor, WorkerConfig, serve_worker
-
-    cfg = WorkerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        threads=args.threads,
-        capacity=args.queue_size,
-        rate=args.rate,
-        burst=args.burst,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        telemetry_enabled=not args.no_telemetry,
-        job_timeout_s=args.job_timeout,
-        job_max_attempts=args.job_attempts,
-        degraded_window_s=args.degraded_window,
-        infra_faults=args.infra_faults,
-        access_log=args.access_log,
-        span_log=args.spans,
-        batch_depth_fraction=args.batch_fraction,
-    )
-    if args.infra_faults:
-        from repro.faults import parse_infra_plan
-
-        plan = parse_infra_plan(args.infra_faults)
-        print(f"infra faults: {plan.describe()}", file=sys.stderr)
-
-    if args.workers > 1:
-        # Multi-process mode: the supervisor pre-forks args.workers full
-        # service processes sharing one port, one cache directory,
-        # and the single-flight claim protocol.
-        supervisor = ServiceSupervisor(cfg)
-        code = supervisor.serve_forever()
-        print("drbw serve: drained, exiting", file=sys.stderr)
-        return code
-
-    serve_worker(cfg, on_ready=lambda server: print(
-        f"drbw service listening on {server.url}", file=sys.stderr
-    ))
-    print("drbw serve: drained, exiting", file=sys.stderr)
-    return 0
-
-
-def _parse_hysteresis(spec: str | None):
-    from repro.monitor import HysteresisConfig
-
-    if spec is None:
-        return HysteresisConfig()
-    try:
-        n, m = spec.split("/")
-        return HysteresisConfig(confirm=int(n), window=int(m))
-    except ValueError as exc:
-        raise ConfigError(
-            f"cannot parse hysteresis {spec!r}; expected N/M, e.g. 2/3"
-        ) from exc
-
-
-def _load_rules(path: str | None):
-    from repro.errors import MonitorError
-    from repro.monitor import DEFAULT_ALERT_RULES, parse_alert_rules
-
-    if path is None:
-        return DEFAULT_ALERT_RULES
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise MonitorError(f"cannot read alert rules file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MonitorError(f"alert rules file {path} is not JSON: {exc}") from exc
-    return parse_alert_rules(spec)
-
-
-def cmd_monitor(args) -> int:
-    import contextlib
-
-    from repro.monitor import (
-        EventLog,
-        LiveMonitor,
-        MetricsServer,
-        MonitorConfig,
-        make_monitor_demo_workload,
-        render_monitor_frame,
-        render_prometheus,
-        render_window_line,
-    )
-    from repro.monitor.monitor import DEFAULT_INTERVAL_CYCLES
-
-    # Validate everything cheap before the expensive model load/train.
-    if args.benchmark == "demo":
-        spec, inp, workload = None, "builtin", make_monitor_demo_workload()
-    else:
-        spec, inp = _resolve_benchmark(args)
-        workload = None  # built after validation below
-    cfg = config_by_name(args.config)
-    profiler_cfg = _profiler_config(args)
-    monitor_cfg = MonitorConfig(
-        window_intervals=args.window,
-        hysteresis=_parse_hysteresis(args.hysteresis),
-        rules=_load_rules(args.rules),
-        interval_cycles=args.interval or DEFAULT_INTERVAL_CYCLES,
-    )
-    if workload is None:
-        workload = spec.build(inp)
-    name = spec.name if spec else "demo"
-
-    machine = Machine()
-    tel = telemetry.Telemetry(enabled=args.telemetry is not None)
-    live = sys.stdout.isatty() and not args.plain
-    with telemetry.session(tel), contextlib.ExitStack() as stack:
-        clf = _load_or_train(args.model, args.seed, machine)
-        event_log = (
-            stack.enter_context(EventLog(args.events)) if args.events else None
-        )
-
-        def on_window(snapshot) -> None:
-            if live:
-                # Home the cursor and clear below: a flicker-free redraw.
-                sys.stdout.write("\x1b[H\x1b[J" + render_monitor_frame(monitor))
-            else:
-                sys.stdout.write(render_window_line(snapshot) + "\n")
-            sys.stdout.flush()
-
-        monitor = LiveMonitor(
-            clf,
-            machine.topology,
-            config=monitor_cfg,
-            event_log=event_log,
-            on_window=on_window,
-        )
-        if args.serve is not None:
-            server = stack.enter_context(
-                MetricsServer(lambda: render_prometheus(monitor.metrics),
-                              port=args.serve)
-            )
-            print(f"serving metrics at {server.url}", file=sys.stderr)
-        if live:
-            sys.stdout.write("\x1b[2J")  # start from a clean screen
-
-        profile = DrBwProfiler(machine, profiler_cfg).profile_live(
-            workload, cfg.n_threads, cfg.n_nodes, monitor=monitor, seed=args.seed
-        )
-
-    if live:
-        print()  # leave the last frame on screen
-    windows = monitor.window_index + 1
-    rmc_windows = sorted({t.window_index for t in monitor.transitions
-                          if t.status is Mode.RMC})
-    print(f"{name} ({inp}) under {cfg.name}: {windows} windows, "
-          f"{monitor.windows.n_samples} samples in the final window")
-    if profiler_cfg.faults is not None:
-        print(format_degradation(profile.dropped))
-    if monitor.ever_rmc:
-        chans = ", ".join(sorted({str(t.channel) for t in monitor.transitions
-                                  if t.status is Mode.RMC}))
-        print(f"contention detected on {chans} "
-              f"(first rmc window: {rmc_windows[0]})")
-    else:
-        print("no contention detected")
-
-    if args.telemetry:
-        meta = collect_metadata(
-            "monitor", args.seed, machine.topology,
-            faults=profiler_cfg.faults, benchmark=name, input=inp,
-            config=cfg.name,
-        )
-        results = {
-            "windows": windows,
-            "ever_rmc": monitor.ever_rmc,
-            "statuses": {str(c): m.value for c, m in monitor.statuses.items()},
-            "transitions": len(monitor.transitions),
-            "alert_events": [
-                {"rule": e.rule, "kind": e.kind, "severity": e.severity,
-                 "channel": str(e.channel) if e.channel else None,
-                 "window": e.window_index}
-                for e in monitor.alert_events
-            ],
-        }
-        export_artifact(args.telemetry, tel, meta, results)
-        print(f"telemetry artifact written to {args.telemetry}", file=sys.stderr)
-    return 2 if monitor.ever_rmc else 0
-
-
-def _load_fleet_rules(path: str | None):
-    from repro.errors import FleetError
-    from repro.fleet import DEFAULT_FLEET_RULES, parse_fleet_rules
-
-    if path is None:
-        return DEFAULT_FLEET_RULES
-    try:
-        with open(path) as fh:
-            spec = json.load(fh)
-    except OSError as exc:
-        raise FleetError(f"cannot read fleet rules file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise FleetError(f"fleet rules file {path} is not JSON: {exc}") from exc
-    return parse_fleet_rules(spec)
-
-
-def cmd_fleet(args) -> int:
-    import contextlib
-    import threading
-    import time
-
-    from repro.errors import FleetError
-    from repro.fleet import (
-        FleetAggregator,
-        FleetServer,
-        FleetSpec,
-        WireLog,
-        read_wire,
-        render_epoch_line,
-        render_fleet_frame,
-        run_fleet,
-    )
-    from repro.parallel.seeding import canonical_json
-
-    # Validate everything cheap before the expensive model load/train.
-    rules = _load_fleet_rules(args.rules)
-    if args.replay is not None and args.events:
-        raise FleetError("--events records a live run; drop it with --replay")
-    if args.serve_hold and args.serve is None:
-        raise FleetError("--serve-hold needs --serve")
-    spec = None
-    if args.replay is None:
-        spec = FleetSpec(
-            machines=args.machines,
-            seed=args.seed,
-            config=args.config,
-            contend_fraction=args.contend_fraction,
-            faults=args.faults,
-            faulted_fraction=args.faulted_fraction,
-            window_intervals=args.window,
-            interval_cycles=args.interval or 4e6,
-            accesses_per_thread=args.accesses,
-            fleet=args.fleet_tag,
-        )
-    aggregator = FleetAggregator(
-        rules=rules, top_k=args.topk, fleet=args.fleet_tag
-    )
-    live = sys.stdout.isatty() and not args.plain and args.replay is None
-
-    summaries = None
-    with contextlib.ExitStack() as stack:
-        if args.serve is not None:
-            server = stack.enter_context(FleetServer(aggregator, port=args.serve))
-            print(f"serving fleet endpoints at {server.url}", file=sys.stderr)
-        if args.replay is not None:
-            # Fix the roster before ingesting: without it, epochs would
-            # evaluate before late machines say hello and their buffered
-            # windows for already-closed epochs would be dropped —
-            # replay must derive exactly what the live run derived.
-            records = list(read_wire(args.replay))
-            roster = {
-                r["machine_id"] for r in records if r["kind"] == "fleet_hello"
-            }
-            if not roster:
-                raise FleetError(
-                    f"replay {args.replay} has no fleet_hello records; "
-                    "is it a wire recording?"
-                )
-            aggregator.expected_machines = len(roster)
-            for snap in aggregator.ingest_many(records):
-                if not live:
-                    print(render_epoch_line(snap))
-        else:
-            clf = _load_or_train(args.model, args.seed, Machine())
-            wire = (
-                stack.enter_context(
-                    WireLog(
-                        args.events,
-                        max_bytes=(
-                            args.events_max_kb * 1024
-                            if args.events_max_kb
-                            else None
-                        ),
-                    )
-                )
-                if args.events
-                else None
-            )
-            # Completed epochs surface from whichever worker ingested the
-            # closing record, so rendering needs its own serialisation.
-            paint = threading.Lock()
-
-            def on_snapshot(snap) -> None:
-                with paint:
-                    if live:
-                        sys.stdout.write(
-                            "\x1b[H\x1b[J" + render_fleet_frame(aggregator)
-                        )
-                    else:
-                        sys.stdout.write(render_epoch_line(snap) + "\n")
-                    sys.stdout.flush()
-
-            if live:
-                sys.stdout.write("\x1b[2J")
-            summaries = run_fleet(
-                spec,
-                clf,
-                aggregator,
-                wire_sink=wire.append if wire else None,
-                jobs=args.jobs,
-                on_snapshot=on_snapshot,
-            )
-
-        if live:
-            print()  # leave the last frame on screen
-        rollup = aggregator.rollup()
-        counts = rollup["counts"]
-        print(
-            f"fleet {aggregator.fleet}: {counts['machines']} machines, "
-            f"{aggregator.epochs} epochs, "
-            f"{counts['machine_windows']} machine-windows"
-        )
-        if summaries is not None:
-            contend = sum(1 for s in summaries if s.workload == "contend")
-            print(
-                f"workloads: {contend} contend, {len(summaries) - contend} "
-                f"quiet; machine-local rmc on "
-                f"{sum(1 for s in summaries if s.ever_rmc)}"
-            )
-        top = aggregator.top_channels()
-        if top:
-            print(
-                "top contended channels: "
-                + ", ".join(
-                    f"{e['channel']} ({e['rmc_machine_windows']} "
-                    "rmc machine-windows)"
-                    for e in top
-                )
-            )
-        fired = [e for e in aggregator.alert_events if e.kind == "firing"]
-        resolved = [e for e in aggregator.alert_events if e.kind == "resolved"]
-        print(
-            f"fleet alerts: {len(fired)} fired, {len(resolved)} resolved, "
-            f"{len(aggregator.firing())} still firing"
-        )
-        if aggregator.ever_fleet_rmc:
-            print("fleet-level bandwidth contention detected")
-        else:
-            print("no fleet-level contention detected")
-
-        if args.timeline:
-            events = aggregator.timeline_events()
-            with open(args.timeline, "w") as fh:
-                fh.write(canonical_json({"traceEvents": events}) + "\n")
-            print(
-                f"timeline ({len(events)} events) written to {args.timeline}",
-                file=sys.stderr,
-            )
-        if args.rollup:
-            with open(args.rollup, "w") as fh:
-                fh.write(canonical_json(rollup) + "\n")
-            print(f"rollup written to {args.rollup}", file=sys.stderr)
-
-        if args.serve is not None and args.serve_hold:
-            print(
-                "fleet endpoints held open; Ctrl-C to stop", file=sys.stderr
-            )
-            while True:  # KeyboardInterrupt lands in main() -> exit 130
-                time.sleep(3600)
-    return 2 if aggregator.ever_fleet_rmc else 0
-
-
-def cmd_campaign(args) -> int:
-    from repro.eval.experiments import (
-        TrainingSummary,
-        run_table5_detection,
-        run_table7_overhead,
-    )
-    from repro.eval.tables import (
-        format_table2,
-        format_table5,
-        format_table6,
-        format_table7,
-        k_fold_line,
-    )
-    from repro.parallel import CampaignJournal, ResultCache, resolve_jobs
-
-    jobs = resolve_jobs(args.jobs)
-
-    if args.journal and args.resume and args.journal != args.resume:
-        raise ReproError("--journal and --resume point at different files")
-    journal_path = args.resume or args.journal
-    if args.out and journal_path is None:
-        raise ReproError("--out requires --journal or --resume")
-
-    runner_opts: dict = {}
-    if journal_path is not None:
-        runner_opts["journal_path"] = journal_path
-        runner_opts["resume"] = bool(args.resume)
-    if args.retries is not None:
-        from repro.resilience import RetryPolicy
-
-        runner_opts["retry"] = RetryPolicy(max_attempts=args.retries, seed=args.seed)
-    if args.task_timeout is not None:
-        runner_opts["task_timeout_s"] = args.task_timeout
-    if args.quarantine:
-        runner_opts["on_exhausted"] = "quarantine"
-    if args.infra_faults:
-        from repro.faults import FaultyResultCache, parse_infra_plan
-
-        infra = parse_infra_plan(args.infra_faults)
-        runner_opts["infra"] = infra
-        cache = FaultyResultCache(
-            args.cache_dir, enabled=not args.no_cache, infra_plan=infra
-        )
-        print(f"infra faults: {infra.describe()}", file=sys.stderr)
-    else:
-        cache = ResultCache(args.cache_dir, enabled=not args.no_cache)
-
-    benchmarks = (
-        [b.strip() for b in args.benchmarks.split(",") if b.strip()]
-        if args.benchmarks
-        else None
-    )
-    machine = Machine()
-    tel = telemetry.Telemetry(enabled=args.telemetry is not None)
-    results: dict = {"experiment": args.experiment, "jobs": jobs}
-    with telemetry.session(tel):
-        if args.experiment == "table2":
-            clf, instances = train_default_classifier(
-                machine, seed=args.seed, jobs=jobs, cache=cache,
-                runner_opts=runner_opts or None,
-            )
-            X, y = training_matrix(list(instances))
-            cv = cross_validate(clf, X, y, k=10, seed=args.seed)
-            counts: dict[str, list[int]] = {}
-            for inst in instances:
-                slot = counts.setdefault(inst.config.program, [0, 0])
-                slot[0 if inst.label is Mode.GOOD else 1] += 1
-            summary = TrainingSummary(
-                counts={k: (v[0], v[1]) for k, v in counts.items()}
-            )
-            print(format_table2(summary))
-            print(k_fold_line(cv))
-            results.update(cv_accuracy=cv.accuracy, n_instances=len(instances))
-        elif args.experiment == "table5":
-            detection = run_table5_detection(
-                seed=args.seed, benchmarks=benchmarks, jobs=jobs, cache=cache,
-                runner_opts=runner_opts or None,
-            )
-            print(format_table5(detection))
-            print()
-            print(format_table6(detection.accuracy_summary()))
-            results.update(
-                n_cases=len(detection.cases),
-                accuracy=detection.accuracy_summary().accuracy,
-                false_negative_rate=detection.false_negative_rate,
-                false_positive_rate=detection.false_positive_rate,
-            )
-        else:
-            rows = run_table7_overhead(
-                seed=args.seed, jobs=jobs, cache=cache,
-                runner_opts=runner_opts or None,
-            )
-            print(format_table7(rows))
-            results.update(
-                overheads={r.benchmark: r.overhead for r in rows},
-            )
-    results["cache"] = cache.stats
-    print(
-        f"campaign {args.experiment}: jobs={jobs}, "
-        f"cache hits={cache.hits} misses={cache.misses}"
-        + ("" if cache.enabled else " (cache disabled)"),
-        file=sys.stderr,
-    )
-    if journal_path is not None:
-        # Reopen read-only-ish (resume mode appends nothing) to report
-        # checkpoint coverage and render the merged payload stream.
-        with CampaignJournal(journal_path, args.seed, resume=True) as jrn:
-            results["journal"] = {"path": str(journal_path), "shards": len(jrn)}
-            print(
-                f"journal {journal_path}: {len(jrn)} shard(s) checkpointed"
-                + (" (resumed)" if args.resume else ""),
-                file=sys.stderr,
-            )
-            if args.out:
-                lines = jrn.merged_payload_lines()
-                with open(args.out, "w") as fh:
-                    fh.write("\n".join(lines) + ("\n" if lines else ""))
-                print(
-                    f"merged payloads written to {args.out} ({len(lines)} line(s))",
-                    file=sys.stderr,
-                )
-    if args.telemetry:
-        meta = collect_metadata(
-            f"campaign:{args.experiment}", args.seed, machine.topology,
-            jobs=jobs,
-        )
-        export_artifact(args.telemetry, tel, meta, results)
-        print(f"telemetry artifact written to {args.telemetry}", file=sys.stderr)
-    return 0
-
-
-def _loadgen_job_factory(args):
-    """The probe-job spec factory for ``drbw loadgen``.
-
-    Returns ``f(k) -> spec`` for request index ``k``.  Unless
-    ``--same-job`` is set, the seed varies per request so every request
-    is a distinct job (distinct ``job_key``), defeating the coalescer
-    and the warm cache — the load hits the real execution path.  The
-    seed counter is shared across the whole invocation, not per run:
-    sweep levels must not re-submit the previous level's specs, or a
-    caching server would answer them warm and the sweep would measure
-    the cache instead of execution.
-    """
-    import itertools
-
-    spec_bench, inp = _resolve_benchmark(args)
-    cfg = config_by_name(args.config)
-    if args.kind == "profile":
-        from repro.parallel.shards import benchmark_workload_spec, profile_shard
-
-        shard = profile_shard(
-            benchmark_workload_spec(spec_bench.name, inp),
-            cfg.n_threads, cfg.n_nodes,
-        )
-        base = {"kind": "profile", "spec": shard}
-    else:
-        if not args.model:
-            raise ConfigError(f"{args.kind} probe jobs need --model")
-        base = {
-            "kind": args.kind, "benchmark": spec_bench.name, "input": inp,
-            "config": cfg.name, "model": args.model,
-        }
-
-    counter = itertools.count()  # invocation-global, CPython-atomic
-
-    def spec_for(k: int) -> dict:
-        if args.same_job:
-            return dict(base, seed=args.seed)
-        return dict(base, seed=args.seed + next(counter))
-
-    return spec_for
-
-
-def cmd_loadgen(args) -> int:
-    from repro.slo import (
-        build_report,
-        concurrency_sweep,
-        load_slo_spec,
-        render_report,
-        run_closed_loop,
-        run_open_loop,
-    )
-
-    # Parse everything (including the SLO spec) before generating load.
-    slo_spec = load_slo_spec(args.slo) if args.slo else None
-    job_factory = _loadgen_job_factory(args)
-    try:
-        levels = [int(c) for c in args.concurrency.split(",") if c.strip()]
-    except ValueError:
-        raise ConfigError(
-            f"cannot parse --concurrency {args.concurrency!r}; "
-            "expected N or N,N,..."
-        ) from None
-    if not levels:
-        raise ConfigError("--concurrency needs at least one level")
-
-    if args.mode == "open":
-        print(
-            f"loadgen: open loop at {args.rps} rps for {args.duration}s "
-            f"against {args.url}", file=sys.stderr,
-        )
-        results = [run_open_loop(
-            args.url, job_factory,
-            target_rps=args.rps, duration_s=args.duration,
-            timeout=args.timeout,
-        )]
-    elif args.mode == "sweep":
-        print(
-            f"loadgen: closed-loop sweep over concurrency {levels} "
-            f"({args.duration}s each) against {args.url}", file=sys.stderr,
-        )
-        results = concurrency_sweep(
-            args.url, job_factory,
-            concurrencies=levels, duration_s=args.duration,
-            timeout=args.timeout,
-        )
-    else:
-        print(
-            f"loadgen: closed loop at concurrency {levels[0]} for "
-            f"{args.duration}s against {args.url}", file=sys.stderr,
-        )
-        results = [run_closed_loop(
-            args.url, job_factory,
-            concurrency=levels[0], duration_s=args.duration,
-            timeout=args.timeout,
-        )]
-
-    report = build_report(
-        results, slo_spec, url=args.url,
-        job={"kind": args.kind, "benchmark": args.benchmark,
-             "config": args.config, "same_job": bool(args.same_job)},
-    )
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"SLO report written to {args.report}", file=sys.stderr)
-    print(render_report(report))
-    slo = report.get("slo")
-    return 1 if slo and slo["breached"] else 0
-
-
-def cmd_report(args) -> int:
-    artifact = load_artifact(args.artifact)
-    if args.stages:
-        print(render_stage_table(artifact.spans))
-        return 0
-    print(render_dashboard(artifact))
-    return 0
-
-
-def cmd_list(_args) -> int:
-    print(f"{'benchmark':<15}{'suite':<10}{'class':<6} inputs")
-    for name, spec in sorted(BENCHMARKS.items()):
-        print(f"{name:<15}{spec.suite:<10}{spec.paper_class:<6} "
-              f"{', '.join(spec.inputs)}")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     _setup_logging(args)
+    module, function = COMMANDS[args.command]
     try:
-        if args.command == "train":
-            return cmd_train(args)
-        if args.command == "detect":
-            return cmd_detect(args, want_diagnosis=False)
-        if args.command == "diagnose":
-            return cmd_detect(args, want_diagnosis=True)
-        if args.command == "campaign":
-            return cmd_campaign(args)
-        if args.command == "monitor":
-            return cmd_monitor(args)
-        if args.command == "fleet":
-            return cmd_fleet(args)
-        if args.command == "serve":
-            return cmd_serve(args)
-        if args.command == "loadgen":
-            return cmd_loadgen(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "list":
-            return cmd_list(args)
+        return getattr(importlib.import_module(module), function)(args)
     except ReproError as exc:
         print(f"drbw: error: {exc}", file=sys.stderr)
         return 2
@@ -1250,7 +458,6 @@ def main(argv: list[str] | None = None) -> int:
         # resumable state on the way out; 130 = killed by SIGINT.
         print("drbw: interrupted", file=sys.stderr)
         return 130
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,20 +22,16 @@ This package is the paper's contribution proper:
 * :mod:`repro.core.report` — human-readable diagnosis reports.
 """
 
-from repro.core.profiler import DrBwProfiler, ProfileResult
-from repro.core.features import FeatureVector, SampleSet, extract_channel_features
-from repro.core.dtree import DecisionTreeClassifier
-from repro.core.classifier import DrBwClassifier
-from repro.core.diagnoser import Diagnoser, DiagnosisReport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DrBwProfiler",
-    "ProfileResult",
-    "FeatureVector",
-    "SampleSet",
-    "extract_channel_features",
-    "DecisionTreeClassifier",
-    "DrBwClassifier",
-    "Diagnoser",
-    "DiagnosisReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.core.profiler": ("DrBwProfiler", "ProfileResult"),
+    "repro.core.features": (
+        "FeatureVector",
+        "SampleSet",
+        "extract_channel_features",
+    ),
+    "repro.core.dtree": ("DecisionTreeClassifier",),
+    "repro.core.classifier": ("DrBwClassifier",),
+    "repro.core.diagnoser": ("Diagnoser", "DiagnosisReport"),
+})

@@ -207,8 +207,8 @@ class DrBwProfiler:
                 sampler_cfg = dataclasses.replace(sampler_cfg, seed=seed)
 
             report = DroppedSampleReport()
-            batch, lookup_failed = self._collect(run, sampler_cfg, report, attempt=0)
-            fields = self._attribute(batch, run.compiled, lookup_failed, report)
+            batch, dst = self._collect(run, sampler_cfg, report, attempt=0)
+            fields = self._attribute(batch, run.compiled, dst, report)
             fields = self._resample_thin_channels(run, sampler_cfg, fields, report)
             report.kept = int(fields["address"].shape[0])
             sp.set(observed=report.observed, kept=report.kept)
@@ -454,14 +454,13 @@ class DrBwProfiler:
         report: DroppedSampleReport,
         attempt: int,
     ) -> tuple[RawSampleBatch, np.ndarray]:
-        """One sampling pass: the (possibly faulted) batch plus the mask of
-        samples whose node lookup failed."""
+        """One sampling pass: the (possibly faulted) batch plus each
+        sample's target node from the page-table lookup, ``-1`` where the
+        lookup failed."""
         with get_telemetry().span("profiler.collect", attempt=attempt) as sp:
-            batch, lookup_failed = self._collect_inner(
-                run, sampler_cfg, report, attempt
-            )
-            sp.set(observed=len(batch), lookup_failed=int(lookup_failed.sum()))
-            return batch, lookup_failed
+            batch, dst = self._collect_inner(run, sampler_cfg, report, attempt)
+            sp.set(observed=len(batch), lookup_failed=int((dst < 0).sum()))
+            return batch, dst
 
     def _collect_inner(
         self,
@@ -514,39 +513,43 @@ class DrBwProfiler:
             report.count("unmapped_address", int(lookup_failed.sum()) - transient)
         else:
             report.count("unmapped_address", int(lookup_failed.sum()))
-        return batch, lookup_failed
+        return batch, dst
 
     def _attribute(
         self,
         batch: RawSampleBatch,
         compiled: CompiledWorkload,
-        lookup_failed: np.ndarray,
+        dst: np.ndarray,
         report: DroppedSampleReport,
     ) -> dict[str, np.ndarray]:
         """Vectorized channel association + data-object attribution.
 
-        Source nodes come from CPU ids and the topology; target nodes from
-        the libnuma page-table lookup; object ids from the allocation
-        table's range index (heap objects only, -1 otherwise).  Samples
-        whose lookup failed are quarantined (already counted by
-        :meth:`_collect`) rather than crashing the columnar SampleSet.
+        Source nodes come from CPU ids and the topology; target nodes
+        (``dst``) from :meth:`_collect`'s libnuma page-table lookup; object
+        ids from the allocation table's range index (heap objects only, -1
+        otherwise).  Samples whose lookup failed (``dst < 0``) are
+        quarantined (already counted by :meth:`_collect`) rather than
+        crashing the columnar SampleSet.  A faulty page table only turns
+        lookups into ``-1``, so every surviving ``dst`` is the real
+        table's answer and one lookup per batch suffices.
         """
         with get_telemetry().span("profiler.attribute", n_samples=len(batch)):
-            return self._attribute_inner(batch, compiled, lookup_failed, report)
+            return self._attribute_inner(batch, compiled, dst, report)
 
     def _attribute_inner(
         self,
         batch: RawSampleBatch,
         compiled: CompiledWorkload,
-        lookup_failed: np.ndarray,
+        dst: np.ndarray,
         report: DroppedSampleReport,
     ) -> dict[str, np.ndarray]:
         topo = self.machine.topology
+        lookup_failed = dst < 0
         if np.any(lookup_failed):
             batch = batch.select(~lookup_failed)
+            dst = dst[~lookup_failed]
         cores = batch.cpu % topo.n_cores
         src = cores // topo.cores_per_socket
-        dst = compiled.page_table.nodes_of_addresses(batch.address, accessor_nodes=src)
         object_id = compiled.allocator.object_ids_of_addresses(batch.address)
         return {
             "address": batch.address,
@@ -632,8 +635,8 @@ class DrBwProfiler:
                 len(deficient), attempt, retry_cfg.period,
             )
             extra_report = DroppedSampleReport()
-            batch, lookup_failed = self._collect(run, retry_cfg, extra_report, attempt)
-            extra = self._attribute(batch, run.compiled, lookup_failed, extra_report)
+            batch, dst = self._collect(run, retry_cfg, extra_report, attempt)
+            extra = self._attribute(batch, run.compiled, dst, extra_report)
             for reason, n in extra_report.quarantined.items():
                 report.count(reason, n)
             for reason, n in extra_report.injected.items():

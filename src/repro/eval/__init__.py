@@ -12,7 +12,9 @@ tables and figures.
 * :mod:`repro.eval.tables` — paper-style text rendering of results.
 """
 
-from repro.eval.configs import EVAL_CONFIGS, RunConfig
-from repro.eval.groundtruth import interleave_oracle, OracleVerdict
+from repro._lazy import lazy_exports
 
-__all__ = ["EVAL_CONFIGS", "RunConfig", "interleave_oracle", "OracleVerdict"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.eval.configs": ("EVAL_CONFIGS", "RunConfig"),
+    "repro.eval.groundtruth": ("interleave_oracle", "OracleVerdict"),
+})

@@ -21,72 +21,46 @@ concurrency — see the aggregator's module docstring for the epoch
 discipline that guarantees it.
 """
 
-from repro.fleet.aggregator import (
-    FLEET_ROLLUP_SCHEMA,
-    FleetAggregator,
-    FleetChannelAgg,
-    FleetSnapshot,
-    parse_channel,
-)
-from repro.fleet.alerts import (
-    DEFAULT_FLEET_RULES,
-    FLEET_CHANNEL_SIGNALS,
-    FLEET_GLOBAL_SIGNALS,
-    FleetAlertEngine,
-    FleetAlertRule,
-    parse_fleet_rules,
-)
-from repro.fleet.dashboard import render_epoch_line, render_fleet_frame
-from repro.fleet.http import FleetClient, FleetServer
-from repro.fleet.identity import MachineIdentity
-from repro.fleet.retention import RetentionConfig, RetentionPoint, RetentionSeries
-from repro.fleet.sim import (
-    FleetSpec,
-    MachineSpec,
-    MachineSummary,
-    machine_specs,
-    make_quiet_workload,
-    run_fleet,
-    simulate_machine,
-)
-from repro.fleet.wire import (
-    WIRE_KINDS,
-    MachineFeed,
-    WireLog,
-    read_wire,
-    validate_wire_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_FLEET_RULES",
-    "FLEET_CHANNEL_SIGNALS",
-    "FLEET_GLOBAL_SIGNALS",
-    "FLEET_ROLLUP_SCHEMA",
-    "FleetAggregator",
-    "FleetAlertEngine",
-    "FleetAlertRule",
-    "FleetChannelAgg",
-    "FleetClient",
-    "FleetServer",
-    "FleetSnapshot",
-    "FleetSpec",
-    "MachineFeed",
-    "MachineIdentity",
-    "MachineSpec",
-    "MachineSummary",
-    "RetentionConfig",
-    "RetentionPoint",
-    "RetentionSeries",
-    "WIRE_KINDS",
-    "WireLog",
-    "machine_specs",
-    "make_quiet_workload",
-    "parse_channel",
-    "parse_fleet_rules",
-    "read_wire",
-    "render_epoch_line",
-    "render_fleet_frame",
-    "run_fleet",
-    "simulate_machine",
-    "validate_wire_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.fleet.aggregator": (
+        "FLEET_ROLLUP_SCHEMA",
+        "FleetAggregator",
+        "FleetChannelAgg",
+        "FleetSnapshot",
+        "parse_channel",
+    ),
+    "repro.fleet.alerts": (
+        "DEFAULT_FLEET_RULES",
+        "FLEET_CHANNEL_SIGNALS",
+        "FLEET_GLOBAL_SIGNALS",
+        "FleetAlertEngine",
+        "FleetAlertRule",
+        "parse_fleet_rules",
+    ),
+    "repro.fleet.dashboard": ("render_epoch_line", "render_fleet_frame"),
+    "repro.fleet.http": ("FleetClient", "FleetServer"),
+    "repro.fleet.identity": ("MachineIdentity",),
+    "repro.fleet.retention": (
+        "RetentionConfig",
+        "RetentionPoint",
+        "RetentionSeries",
+    ),
+    "repro.fleet.sim": (
+        "FleetSpec",
+        "MachineSpec",
+        "MachineSummary",
+        "machine_specs",
+        "make_quiet_workload",
+        "run_fleet",
+        "simulate_machine",
+    ),
+    "repro.fleet.wire": (
+        "WIRE_KINDS",
+        "MachineFeed",
+        "WireLog",
+        "read_wire",
+        "validate_wire_record",
+    ),
+})

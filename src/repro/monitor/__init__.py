@@ -15,61 +15,48 @@ text over stdlib HTTP (:mod:`~repro.monitor.exposition`,
 terminal dashboard (:mod:`~repro.monitor.dashboard`).
 """
 
-from repro.monitor.alerts import (
-    DEFAULT_ALERT_RULES,
-    AlertEngine,
-    AlertEvent,
-    AlertRule,
-    parse_alert_rules,
-)
-from repro.monitor.dashboard import (
-    render_monitor_frame,
-    render_window_line,
-    value_sparkline,
-)
-from repro.monitor.demo import make_monitor_demo_workload
-from repro.monitor.detector import HysteresisConfig, OnlineDetector, StatusTransition
-from repro.monitor.events import EVENT_KINDS, EventLog, read_events, validate_event
-from repro.monitor.exposition import (
-    CONTENT_TYPE,
-    render_prometheus,
-    render_prometheus_multi,
-)
-from repro.monitor.httpserver import MetricsServer
-from repro.monitor.monitor import (
-    ChannelView,
-    LiveMonitor,
-    MonitorConfig,
-    WindowSnapshot,
-)
-from repro.monitor.windows import FeatureWindows, IntervalStats, interval_stats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AlertEngine",
-    "AlertEvent",
-    "AlertRule",
-    "ChannelView",
-    "CONTENT_TYPE",
-    "DEFAULT_ALERT_RULES",
-    "EVENT_KINDS",
-    "EventLog",
-    "FeatureWindows",
-    "HysteresisConfig",
-    "IntervalStats",
-    "LiveMonitor",
-    "MetricsServer",
-    "MonitorConfig",
-    "OnlineDetector",
-    "StatusTransition",
-    "WindowSnapshot",
-    "interval_stats",
-    "make_monitor_demo_workload",
-    "parse_alert_rules",
-    "read_events",
-    "render_monitor_frame",
-    "render_window_line",
-    "render_prometheus",
-    "render_prometheus_multi",
-    "validate_event",
-    "value_sparkline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.monitor.alerts": (
+        "DEFAULT_ALERT_RULES",
+        "AlertEngine",
+        "AlertEvent",
+        "AlertRule",
+        "parse_alert_rules",
+    ),
+    "repro.monitor.dashboard": (
+        "render_monitor_frame",
+        "render_window_line",
+        "value_sparkline",
+    ),
+    "repro.monitor.demo": ("make_monitor_demo_workload",),
+    "repro.monitor.detector": (
+        "HysteresisConfig",
+        "OnlineDetector",
+        "StatusTransition",
+    ),
+    "repro.monitor.events": (
+        "EVENT_KINDS",
+        "EventLog",
+        "read_events",
+        "validate_event",
+    ),
+    "repro.monitor.exposition": (
+        "CONTENT_TYPE",
+        "render_prometheus",
+        "render_prometheus_multi",
+    ),
+    "repro.monitor.httpserver": ("MetricsServer",),
+    "repro.monitor.monitor": (
+        "ChannelView",
+        "LiveMonitor",
+        "MonitorConfig",
+        "WindowSnapshot",
+    ),
+    "repro.monitor.windows": (
+        "FeatureWindows",
+        "IntervalStats",
+        "interval_stats",
+    ),
+})

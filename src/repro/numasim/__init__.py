@@ -17,8 +17,10 @@ Xeon E5-4650).  It provides:
   facade tying everything together.
 """
 
-from repro.numasim.topology import CacheSpec, NumaTopology
-from repro.numasim.latency import LatencyModel
-from repro.numasim.machine import Machine
+from repro._lazy import lazy_exports
 
-__all__ = ["CacheSpec", "NumaTopology", "LatencyModel", "Machine"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.numasim.topology": ("CacheSpec", "NumaTopology"),
+    "repro.numasim.latency": ("LatencyModel",),
+    "repro.numasim.machine": ("Machine",),
+})

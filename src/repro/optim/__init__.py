@@ -12,15 +12,11 @@ Three remedies the paper applies to blamed data objects:
 * :mod:`repro.optim.speedup` — measure a transform's end-to-end effect.
 """
 
-from repro.optim.colocate import colocate_objects
-from repro.optim.interleave import interleave_objects
-from repro.optim.replicate import replicate_objects
-from repro.optim.speedup import SpeedupResult, measure_speedup
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "colocate_objects",
-    "interleave_objects",
-    "replicate_objects",
-    "SpeedupResult",
-    "measure_speedup",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.optim.colocate": ("colocate_objects",),
+    "repro.optim.interleave": ("interleave_objects",),
+    "repro.optim.replicate": ("replicate_objects",),
+    "repro.optim.speedup": ("SpeedupResult", "measure_speedup"),
+})

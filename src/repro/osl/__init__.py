@@ -11,28 +11,18 @@ This package substitutes for the Linux kernel facilities DR-BW relies on:
 * thread-to-core binding in the paper's ``Tt-Nn`` scheme.
 """
 
-from repro.osl.pages import (
-    PagePlacementPolicy,
-    FirstTouch,
-    BindToNode,
-    Interleave,
-    Replicated,
-    PageTable,
-    VirtualAddressSpace,
-)
-from repro.osl.alloc import DataObject, HeapAllocator
-from repro.osl.threads import ThreadBinding, bind_threads_tt_nn
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PagePlacementPolicy",
-    "FirstTouch",
-    "BindToNode",
-    "Interleave",
-    "Replicated",
-    "PageTable",
-    "VirtualAddressSpace",
-    "DataObject",
-    "HeapAllocator",
-    "ThreadBinding",
-    "bind_threads_tt_nn",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.osl.pages": (
+        "PagePlacementPolicy",
+        "FirstTouch",
+        "BindToNode",
+        "Interleave",
+        "Replicated",
+        "PageTable",
+        "VirtualAddressSpace",
+    ),
+    "repro.osl.alloc": ("DataObject", "HeapAllocator"),
+    "repro.osl.threads": ("ThreadBinding", "bind_threads_tt_nn"),
+})

@@ -99,26 +99,32 @@ class Interleave(PagePlacementPolicy):
         return order[np.arange(n_pages) % len(order)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExplicitPlacement(PagePlacementPolicy):
     """An explicit per-page node assignment.
 
     This is how the co-locate optimization is expressed: the compiler
     computes, for every page of an object, the node of the thread whose
-    chunk contains it, and places the page there.
+    chunk contains it, and places the page there.  ``nodes`` may be any
+    sequence or array of node ids; the policy keeps a read-only int64
+    copy, so later changes to the source never move its pages.
     """
 
-    nodes: tuple[int, ...]
+    nodes: np.ndarray
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.nodes, dtype=np.int64)
+        arr.setflags(write=False)
+        object.__setattr__(self, "nodes", arr)
 
     def place(self, n_pages: int, n_nodes: int) -> np.ndarray:
         if len(self.nodes) != n_pages:
             raise AllocationError(
                 f"explicit placement covers {len(self.nodes)} pages, need {n_pages}"
             )
-        arr = np.asarray(self.nodes, dtype=np.int64)
-        if arr.size and (arr.min() < 0 or arr.max() >= n_nodes):
+        if self.nodes.size and (self.nodes.min() < 0 or self.nodes.max() >= n_nodes):
             raise TopologyError("explicit placement references a missing node")
-        return arr.copy()
+        return self.nodes.copy()
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,51 +30,32 @@ See ``docs/parallelism.md`` for the design and determinism guarantees.
 
 from __future__ import annotations
 
-from repro.parallel.cache import ResultCache, default_cache_dir
-from repro.parallel.campaign import (
-    CampaignResult,
-    CampaignRunner,
-    ShardFailure,
-    ShardOutcome,
-    merge_dropped_payloads,
-    resolve_jobs,
-)
-from repro.parallel.journal import CampaignJournal
-from repro.parallel.seeding import (
-    canonical_json,
-    config_hash,
-    shard_seed,
-    stable_case_seed,
-)
-from repro.parallel.shards import (
-    PROFILE_SHARD_KIND,
-    benchmark_workload_spec,
-    machine_spec,
-    profile_shard,
-    profiler_spec,
-    run_profile_shard,
-    training_workload_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CampaignJournal",
-    "CampaignResult",
-    "CampaignRunner",
-    "PROFILE_SHARD_KIND",
-    "ResultCache",
-    "ShardFailure",
-    "ShardOutcome",
-    "benchmark_workload_spec",
-    "canonical_json",
-    "config_hash",
-    "default_cache_dir",
-    "machine_spec",
-    "merge_dropped_payloads",
-    "profile_shard",
-    "profiler_spec",
-    "resolve_jobs",
-    "run_profile_shard",
-    "shard_seed",
-    "stable_case_seed",
-    "training_workload_spec",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.parallel.cache": ("ResultCache", "default_cache_dir"),
+    "repro.parallel.campaign": (
+        "CampaignResult",
+        "CampaignRunner",
+        "ShardFailure",
+        "ShardOutcome",
+        "merge_dropped_payloads",
+        "resolve_jobs",
+    ),
+    "repro.parallel.journal": ("CampaignJournal",),
+    "repro.parallel.seeding": (
+        "canonical_json",
+        "config_hash",
+        "shard_seed",
+        "stable_case_seed",
+    ),
+    "repro.parallel.shards": (
+        "PROFILE_SHARD_KIND",
+        "benchmark_workload_spec",
+        "machine_spec",
+        "profile_shard",
+        "profiler_spec",
+        "run_profile_shard",
+        "training_workload_spec",
+    ),
+})

@@ -13,14 +13,13 @@ reproduces those semantics on top of the machine simulator:
   buckets at the configured period (1-in-2000 by default, per the paper).
 """
 
-from repro.pmu.events import PmuEvent, MEM_TRANS_RETIRED_LATENCY_ABOVE_THRESHOLD
-from repro.pmu.sample import MemorySample
-from repro.pmu.sampler import AddressSampler, SamplerConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PmuEvent",
-    "MEM_TRANS_RETIRED_LATENCY_ABOVE_THRESHOLD",
-    "MemorySample",
-    "AddressSampler",
-    "SamplerConfig",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.pmu.events": (
+        "PmuEvent",
+        "MEM_TRANS_RETIRED_LATENCY_ABOVE_THRESHOLD",
+    ),
+    "repro.pmu.sample": ("MemorySample",),
+    "repro.pmu.sampler": ("AddressSampler", "SamplerConfig"),
+})

@@ -36,69 +36,45 @@ See ``docs/service.md`` for the operator's view, including the
 "Request tracing & SLOs" section.
 """
 
-from repro.service.accesslog import (
-    ACCESS_LOG_VERSION,
-    AccessLog,
-    read_access_log,
-    validate_access_record,
-)
-from repro.service.admission import (
-    DEFAULT_PRIORITY,
-    PRIORITIES,
-    PRIORITY_HEADER,
-    AdmissionController,
-)
-from repro.service.client import ServiceClient, parse_retry_after
-from repro.service.coalescer import Coalescer
-from repro.service.mpserve import ServiceSupervisor, WorkerConfig, serve_worker
-from repro.service.jobspec import (
-    JOB_KINDS,
-    execute_job,
-    job_key,
-    normalize_job,
-)
-from repro.service.jobstore import JOB_STATES, Job, JobStore
-from repro.service.queue import (
-    SERVICE_CACHE_SCHEMA,
-    ServiceQueue,
-    TokenBucket,
-)
-from repro.service.server import ServiceServer
-from repro.service.trace import (
-    TRACE_HEADER,
-    TraceContext,
-    mint_trace,
-    parse_trace_header,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ACCESS_LOG_VERSION",
-    "AccessLog",
-    "AdmissionController",
-    "Coalescer",
-    "DEFAULT_PRIORITY",
-    "PRIORITIES",
-    "PRIORITY_HEADER",
-    "Job",
-    "JobStore",
-    "JOB_KINDS",
-    "JOB_STATES",
-    "SERVICE_CACHE_SCHEMA",
-    "ServiceClient",
-    "ServiceQueue",
-    "ServiceServer",
-    "ServiceSupervisor",
-    "TokenBucket",
-    "WorkerConfig",
-    "TRACE_HEADER",
-    "TraceContext",
-    "execute_job",
-    "job_key",
-    "mint_trace",
-    "normalize_job",
-    "parse_retry_after",
-    "parse_trace_header",
-    "read_access_log",
-    "serve_worker",
-    "validate_access_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.service.accesslog": (
+        "ACCESS_LOG_VERSION",
+        "AccessLog",
+        "read_access_log",
+        "validate_access_record",
+    ),
+    "repro.service.admission": (
+        "DEFAULT_PRIORITY",
+        "PRIORITIES",
+        "PRIORITY_HEADER",
+        "AdmissionController",
+    ),
+    "repro.service.client": ("ServiceClient", "parse_retry_after"),
+    "repro.service.coalescer": ("Coalescer",),
+    "repro.service.mpserve": (
+        "ServiceSupervisor",
+        "WorkerConfig",
+        "serve_worker",
+    ),
+    "repro.service.jobspec": (
+        "JOB_KINDS",
+        "execute_job",
+        "job_key",
+        "normalize_job",
+    ),
+    "repro.service.jobstore": ("JOB_STATES", "Job", "JobStore"),
+    "repro.service.queue": (
+        "SERVICE_CACHE_SCHEMA",
+        "ServiceQueue",
+        "TokenBucket",
+    ),
+    "repro.service.server": ("ServiceServer",),
+    "repro.service.trace": (
+        "TRACE_HEADER",
+        "TraceContext",
+        "mint_trace",
+        "parse_trace_header",
+    ),
+})

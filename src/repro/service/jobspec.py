@@ -26,6 +26,7 @@ drift from the command line.
 
 from __future__ import annotations
 
+import importlib
 from typing import Any
 
 import repro
@@ -34,7 +35,9 @@ from repro.parallel.seeding import canonical_json, config_hash
 
 __all__ = [
     "JOB_KINDS",
+    "PIPELINE_MODULES",
     "execute_job",
+    "import_pipeline",
     "job_key",
     "normalize_job",
     "verdicts_payload",
@@ -180,6 +183,35 @@ def job_key(spec: Any) -> str:
 
 
 # -- execution --------------------------------------------------------------------
+
+#: Every module :func:`execute_job` reaches that a bare ``import
+#: repro.service`` does not load.  The service imports them before it
+#: reports ready (:func:`import_pipeline`), so the first job pays no import.
+PIPELINE_MODULES = (
+    "numpy.random",
+    "repro.core.classifier",
+    "repro.core.diagnoser",
+    "repro.core.profiler",
+    "repro.core.training",
+    "repro.eval.configs",
+    "repro.faults",
+    "repro.parallel.campaign",
+    "repro.parallel.shards",
+    "repro.types",
+    "repro.workloads.suites.lulesh",
+    "repro.workloads.suites.npb",
+    "repro.workloads.suites.parsec",
+    "repro.workloads.suites.registry",
+    "repro.workloads.suites.rodinia",
+    "repro.workloads.suites.sequoia",
+)
+
+
+def import_pipeline() -> None:
+    """Import :data:`PIPELINE_MODULES`."""
+    for name in PIPELINE_MODULES:
+        importlib.import_module(name)
+
 
 
 def _execute_detect(spec: dict) -> dict:

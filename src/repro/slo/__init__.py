@@ -20,42 +20,28 @@ Driven by ``drbw loadgen``; published into the bench trajectory as the
 ``slo`` section from PR 8 on.  See ``docs/service.md``.
 """
 
-from repro.slo.loadgen import (
-    LATENCY_BUCKETS_S,
-    LoadgenResult,
-    concurrency_sweep,
-    detect_knee,
-    run_closed_loop,
-    run_open_loop,
-)
-from repro.slo.report import (
-    SLO_REPORT_SCHEMA,
-    SLO_REPORT_SCHEMA_VERSION,
-    build_report,
-    render_report,
-    validate_slo_report,
-)
-from repro.slo.spec import (
-    SLO_SPEC_SCHEMA,
-    SloSpec,
-    load_slo_spec,
-    parse_slo_spec,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LATENCY_BUCKETS_S",
-    "LoadgenResult",
-    "SLO_REPORT_SCHEMA",
-    "SLO_REPORT_SCHEMA_VERSION",
-    "SLO_SPEC_SCHEMA",
-    "SloSpec",
-    "build_report",
-    "concurrency_sweep",
-    "detect_knee",
-    "load_slo_spec",
-    "parse_slo_spec",
-    "render_report",
-    "run_closed_loop",
-    "run_open_loop",
-    "validate_slo_report",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.slo.loadgen": (
+        "LATENCY_BUCKETS_S",
+        "LoadgenResult",
+        "concurrency_sweep",
+        "detect_knee",
+        "run_closed_loop",
+        "run_open_loop",
+    ),
+    "repro.slo.report": (
+        "SLO_REPORT_SCHEMA",
+        "SLO_REPORT_SCHEMA_VERSION",
+        "build_report",
+        "render_report",
+        "validate_slo_report",
+    ),
+    "repro.slo.spec": (
+        "SLO_SPEC_SCHEMA",
+        "SloSpec",
+        "load_slo_spec",
+        "parse_slo_spec",
+    ),
+})

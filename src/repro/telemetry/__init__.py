@@ -38,33 +38,23 @@ from __future__ import annotations
 import contextlib
 import contextvars
 
-from repro.telemetry.metrics import (
-    LATENCY_BUCKETS,
-    MARGIN_BUCKETS,
-    MetricsRegistry,
-    NULL_METRICS,
-)
-from repro.telemetry.spans import NULL_SPAN, SpanRecord, Tracer
-from repro.telemetry.timeline import (
-    ResourceTimeline,
-    capture_run_timelines,
-    dump_timelines,
-    load_timelines,
-)
+from repro._lazy import lazy_exports
+from repro.telemetry.metrics import NULL_METRICS, MetricsRegistry
+from repro.telemetry.spans import Tracer
 
+__getattr__, __dir__, _lazy_names = lazy_exports(__name__, {
+    "repro.telemetry.metrics": ("LATENCY_BUCKETS", "MARGIN_BUCKETS"),
+    "repro.telemetry.spans": ("NULL_SPAN", "SpanRecord"),
+    "repro.telemetry.timeline": (
+        "ResourceTimeline",
+        "capture_run_timelines",
+        "dump_timelines",
+        "load_timelines",
+    ),
+})
 __all__ = [
-    "Telemetry",
-    "get_telemetry",
-    "session",
-    "Tracer",
-    "SpanRecord",
-    "MetricsRegistry",
-    "ResourceTimeline",
-    "capture_run_timelines",
-    "dump_timelines",
-    "load_timelines",
-    "LATENCY_BUCKETS",
-    "MARGIN_BUCKETS",
+    "Telemetry", "get_telemetry", "session", "Tracer", "MetricsRegistry",
+    *_lazy_names,
 ]
 
 

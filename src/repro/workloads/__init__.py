@@ -13,24 +13,17 @@ OS layer, and emits :class:`~repro.numasim.engine.ThreadProgram` IR.
 * :mod:`repro.workloads.suites` — analogs of the 23 evaluation benchmarks.
 """
 
-from repro.workloads.base import (
-    ObjectSpec,
-    StreamSpec,
-    PhaseSpec,
-    Workload,
-    CompiledWorkload,
-    compile_workload,
-    Share,
-)
-from repro.workloads.runner import run_workload
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ObjectSpec",
-    "StreamSpec",
-    "PhaseSpec",
-    "Workload",
-    "CompiledWorkload",
-    "compile_workload",
-    "Share",
-    "run_workload",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.base": (
+        "ObjectSpec",
+        "StreamSpec",
+        "PhaseSpec",
+        "Workload",
+        "CompiledWorkload",
+        "compile_workload",
+        "Share",
+    ),
+    "repro.workloads.runner": ("run_workload",),
+})

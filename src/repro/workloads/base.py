@@ -278,7 +278,7 @@ def _colocation_placement(
         first = lo // page_bytes
         last = (hi - 1) // page_bytes if hi > lo else first
         nodes[first : last + 1] = b.node
-    return ExplicitPlacement(tuple(int(n) for n in nodes))
+    return ExplicitPlacement(nodes)
 
 
 def compile_workload(

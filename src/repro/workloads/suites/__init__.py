@@ -21,11 +21,13 @@ classes.
   with its input list and Table V case bookkeeping.
 """
 
-from repro.workloads.suites.registry import (
-    BenchmarkSpec,
-    BENCHMARKS,
-    benchmark,
-    benchmark_names,
-)
+from repro._lazy import lazy_exports
 
-__all__ = ["BenchmarkSpec", "BENCHMARKS", "benchmark", "benchmark_names"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "repro.workloads.suites.registry": (
+        "BenchmarkSpec",
+        "BENCHMARKS",
+        "benchmark",
+        "benchmark_names",
+    ),
+})

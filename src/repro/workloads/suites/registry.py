@@ -9,12 +9,14 @@ case counts (512 total across the 21 Table V rows).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import WorkloadError
-from repro.workloads.base import Workload
-from repro.workloads.suites import lulesh, npb, parsec, rodinia, sequoia
+
+if TYPE_CHECKING:
+    from repro.workloads.base import Workload
 
 __all__ = ["BenchmarkSpec", "BENCHMARKS", "benchmark", "benchmark_names"]
 
@@ -46,6 +48,18 @@ class BenchmarkSpec:
         return len(self.inputs) * 8
 
 
+def _suite(module: str, factory: str, *args: str) -> Callable[[str], Workload]:
+    """A builder calling ``module.factory(*args, input_name)``; the suite
+    module (and with it numpy and the workload DSL) is imported on the
+    first build, so listing the registry stays cheap."""
+
+    def build(input_name: str) -> Workload:
+        suite = importlib.import_module(f"repro.workloads.suites.{module}")
+        return getattr(suite, factory)(*args, input_name)
+
+    return build
+
+
 _NPB3 = ("A", "B", "C")
 _PARSEC4 = ("simsmall", "simmedium", "simlarge", "native")
 
@@ -54,46 +68,46 @@ BENCHMARKS: dict[str, BenchmarkSpec] = {
     for spec in (
         # -- PARSEC ---------------------------------------------------------
         BenchmarkSpec("Swaptions", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Swaptions", i), "good"),
+                      _suite("parsec", "make_parsec", "Swaptions"), "good"),
         BenchmarkSpec("Blackscholes", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Blackscholes", i), "good"),
+                      _suite("parsec", "make_parsec", "Blackscholes"), "good"),
         BenchmarkSpec("Bodytrack", "parsec", ("simlarge", "native"),
-                      lambda i: parsec.make_parsec("Bodytrack", i), "good"),
+                      _suite("parsec", "make_parsec", "Bodytrack"), "good"),
         BenchmarkSpec("Freqmine", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Freqmine", i), "good"),
+                      _suite("parsec", "make_parsec", "Freqmine"), "good"),
         BenchmarkSpec("Ferret", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Ferret", i), "good"),
+                      _suite("parsec", "make_parsec", "Ferret"), "good"),
         BenchmarkSpec("Fluidanimate", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Fluidanimate", i), "good"),
+                      _suite("parsec", "make_parsec", "Fluidanimate"), "good"),
         BenchmarkSpec("X264", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("X264", i), "good"),
+                      _suite("parsec", "make_parsec", "X264"), "good"),
         BenchmarkSpec("Raytrace", "parsec", _PARSEC4,
-                      lambda i: parsec.make_parsec("Raytrace", i), "good",
+                      _suite("parsec", "make_parsec", "Raytrace"), "good",
                       in_table5=False),
         BenchmarkSpec("Streamcluster", "parsec", ("simlarge", "native"),
-                      lambda i: parsec.make_parsec("Streamcluster", i), "rmc"),
+                      _suite("parsec", "make_parsec", "Streamcluster"), "rmc"),
         # -- NPB --------------------------------------------------------------
-        BenchmarkSpec("BT", "npb", _NPB3, lambda i: npb.make_npb("BT", i), "good"),
-        BenchmarkSpec("CG", "npb", _NPB3, lambda i: npb.make_npb("CG", i), "good"),
-        BenchmarkSpec("DC", "npb", ("A", "B"), lambda i: npb.make_npb("DC", i), "good"),
-        BenchmarkSpec("EP", "npb", _NPB3, lambda i: npb.make_npb("EP", i), "good"),
-        BenchmarkSpec("FT", "npb", _NPB3, lambda i: npb.make_npb("FT", i), "good"),
-        BenchmarkSpec("IS", "npb", _NPB3, lambda i: npb.make_npb("IS", i), "good"),
-        BenchmarkSpec("LU", "npb", _NPB3, lambda i: npb.make_npb("LU", i), "good"),
-        BenchmarkSpec("MG", "npb", _NPB3, lambda i: npb.make_npb("MG", i), "good"),
-        BenchmarkSpec("UA", "npb", _NPB3, lambda i: npb.make_npb("UA", i), "good"),
-        BenchmarkSpec("SP", "npb", _NPB3, lambda i: npb.make_npb("SP", i), "rmc"),
+        BenchmarkSpec("BT", "npb", _NPB3, _suite("npb", "make_npb", "BT"), "good"),
+        BenchmarkSpec("CG", "npb", _NPB3, _suite("npb", "make_npb", "CG"), "good"),
+        BenchmarkSpec("DC", "npb", ("A", "B"), _suite("npb", "make_npb", "DC"), "good"),
+        BenchmarkSpec("EP", "npb", _NPB3, _suite("npb", "make_npb", "EP"), "good"),
+        BenchmarkSpec("FT", "npb", _NPB3, _suite("npb", "make_npb", "FT"), "good"),
+        BenchmarkSpec("IS", "npb", _NPB3, _suite("npb", "make_npb", "IS"), "good"),
+        BenchmarkSpec("LU", "npb", _NPB3, _suite("npb", "make_npb", "LU"), "good"),
+        BenchmarkSpec("MG", "npb", _NPB3, _suite("npb", "make_npb", "MG"), "good"),
+        BenchmarkSpec("UA", "npb", _NPB3, _suite("npb", "make_npb", "UA"), "good"),
+        BenchmarkSpec("SP", "npb", _NPB3, _suite("npb", "make_npb", "SP"), "rmc"),
         # -- Rodinia ------------------------------------------------------------
         BenchmarkSpec("NW", "rodinia", ("small", "default", "large"),
-                      lambda i: rodinia.make_nw(i), "rmc"),
+                      _suite("rodinia", "make_nw"), "rmc"),
         # -- Sequoia ------------------------------------------------------------
         BenchmarkSpec("AMG2006", "sequoia", ("30x30x30",),
-                      lambda i: sequoia.make_amg2006(i), "rmc"),
+                      _suite("sequoia", "make_amg2006"), "rmc"),
         BenchmarkSpec("IRSmk", "sequoia", ("small", "medium", "large"),
-                      lambda i: sequoia.make_irsmk(i), "rmc"),
+                      _suite("sequoia", "make_irsmk"), "rmc"),
         # -- LULESH (case study only; not a Table V row) -------------------------
         BenchmarkSpec("LULESH", "llnl", ("large",),
-                      lambda i: lulesh.make_lulesh(i), "rmc", in_table5=False),
+                      _suite("lulesh", "make_lulesh"), "rmc", in_table5=False),
     )
 }
 

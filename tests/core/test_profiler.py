@@ -163,3 +163,68 @@ class TestDroppedSampleReport:
         report.count("lookup_failure", 3)
         assert report.quarantined == {"lookup_failure": 5}
         assert report.total_quarantined == 5
+
+
+class _TwoLookupProfiler(DrBwProfiler):
+    """Attribution with its own second page-table lookup on the surviving
+    samples, instead of reusing the collection pass's lookup."""
+
+    def _attribute_inner(self, batch, compiled, dst, report):
+        lookup_failed = dst < 0
+        if np.any(lookup_failed):
+            batch = batch.select(~lookup_failed)
+        topo = self.machine.topology
+        src = (batch.cpu % topo.n_cores) // topo.cores_per_socket
+        return {
+            "address": batch.address,
+            "cpu": batch.cpu,
+            "thread_id": batch.thread_id,
+            "level": batch.level,
+            "latency": batch.latency,
+            "src_node": np.asarray(src, dtype=np.int64),
+            "dst_node": compiled.page_table.nodes_of_addresses(
+                batch.address, accessor_nodes=src
+            ),
+            "object_id": compiled.allocator.object_ids_of_addresses(batch.address),
+        }
+
+
+class TestSingleLookup:
+    """The collection pass's page-table lookup is reused for attribution,
+    also under a faulty page table and on the resample path."""
+
+    @staticmethod
+    def _attributed(profiler_cls, machine):
+        from repro.core.classifier import MIN_CHANNEL_SUPPORT
+        from repro.faults import parse_fault_plan
+
+        passes = []
+
+        class Recording(profiler_cls):
+            def _attribute_inner(self, *args):
+                fields = super()._attribute_inner(*args)
+                passes.append(fields)
+                return fields
+
+        cfg = ProfilerConfig(
+            faults=parse_fault_plan("standard"),
+            resample_floor=MIN_CHANNEL_SUPPORT,
+            resample_attempts=3,
+        )
+        profile = Recording(machine, cfg).profile(make_sumv(256 * MB), 8, 2, seed=3)
+        return passes, profile.dropped
+
+    def test_fields_match_a_second_lookup(self, machine):
+        got, got_report = self._attributed(DrBwProfiler, machine)
+        want, want_report = self._attributed(_TwoLookupProfiler, machine)
+        # The case exercises both paths: injected lookup failures, and
+        # resample passes after the first one.
+        assert got_report.injected.get("lookup_failure", 0) > 0
+        assert got_report.resample_attempts > 0
+        assert len(got) == len(want) == 1 + got_report.resample_attempts
+        for g, w in zip(got, want):
+            assert g.keys() == w.keys()
+            for key in g:
+                assert g[key].dtype == w[key].dtype, key
+                assert g[key].tobytes() == w[key].tobytes(), key
+        assert got_report == want_report

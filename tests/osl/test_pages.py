@@ -47,6 +47,25 @@ class TestPolicies:
         nodes = ExplicitPlacement((0, 2, 1)).place(3, 4)
         assert list(nodes) == [0, 2, 1]
 
+    def test_explicit_from_array(self):
+        nodes = ExplicitPlacement(np.array([3, 0, 1], dtype=np.int64)).place(3, 4)
+        assert nodes.dtype == np.int64
+        assert list(nodes) == [3, 0, 1]
+
+    def test_explicit_copies_its_source(self):
+        source = np.array([0, 2, 1], dtype=np.int64)
+        policy = ExplicitPlacement(source)
+        source[:] = 3
+        assert list(policy.place(3, 4)) == [0, 2, 1]
+        placed = policy.place(3, 4)
+        placed[:] = 3  # the page table owns what place() returns
+        assert list(policy.place(3, 4)) == [0, 2, 1]
+
+    def test_explicit_nodes_are_read_only(self):
+        policy = ExplicitPlacement((0, 2, 1))
+        with pytest.raises(ValueError):
+            policy.nodes[0] = 3
+
     def test_explicit_wrong_length(self):
         with pytest.raises(AllocationError):
             ExplicitPlacement((0,)).place(3, 4)

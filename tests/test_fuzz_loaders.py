@@ -141,7 +141,7 @@ def test_alert_rules_survive_mutations_and_junk():
 
 
 def test_cli_rules_loader_failures_are_monitor_errors(tmp_path):
-    from repro.cli import _load_rules
+    from repro.commands.monitor import _load_rules
 
     with pytest.raises(MonitorError):
         _load_rules(str(tmp_path / "absent.json"))
