@@ -21,7 +21,7 @@ def _loadgen_job_factory(args):
 
     Returns ``f(k) -> spec`` for request index ``k``.  Unless
     ``--same-job`` is set, the seed varies per request so every request
-    is a distinct job (distinct ``job_key``), defeating the coalescer
+    is a distinct job (distinct ``job_key``), defeating coalescing
     and the warm cache — the load hits the real execution path.  The
     seed counter is shared across the whole invocation, not per run:
     sweep levels must not re-submit the previous level's specs, or a

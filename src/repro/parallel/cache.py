@@ -31,13 +31,13 @@ for the life of the process; only cross-process sharing is lost while the
 circuit is open.  ``FileNotFoundError`` on read is a *healthy* miss and
 never feeds the breaker.  See ``docs/robustness.md``.
 
-**Cross-process single-flight** (PR 10): the multi-process service
-shares one cache directory between worker processes, so a storm of
-identical job specs should execute *once fleet-wide*, not once per
-process.  :meth:`ResultCache.single_flight` implements that with an
-advisory claim-file protocol per key: the first process to
-``O_CREAT|O_EXCL`` the claim file computes and publishes the entry;
-everyone else polls the cache until the entry lands.  Claims left by a
+**Cross-process single-flight**: every service job executes through
+:meth:`ResultCache.single_flight`, at any worker count, and the
+service's worker processes share one cache directory, so a storm of
+identical job specs executes *once fleet-wide*.  Per key, an advisory
+claim file decides: the first process to ``O_CREAT|O_EXCL`` the claim
+file computes and publishes the entry; everyone else polls the cache
+until the entry lands.  Claims left by a
 worker that died mid-execution are detected (owner pid no longer alive,
 or claim older than ``stale_s``) and *stolen* — the stealer unlinks the
 claim and competes to re-claim — so a crash never wedges followers.
@@ -127,9 +127,6 @@ class ResultCache:
         self.fallback_hits = 0
         self.orphans_swept = 0
         self.claims_stolen = 0
-        self.single_flight_executions = 0
-        self.single_flight_follows = 0
-        self.single_flight_timeouts = 0
         self._memory: dict[str, dict] = {}
         if not enabled:
             return
@@ -303,8 +300,10 @@ class ResultCache:
         """True when the claim's owner is provably dead or the claim too old.
 
         Owner liveness is a same-host pid probe (``os.kill(pid, 0)``);
-        claims from another host, or unreadable ones, fall back to the
-        age test alone.  A *corrupt* claim body is stale outright.
+        claims from another host, or whose body is empty or unparsable,
+        fall back to the age test alone.  A claim is created empty and
+        written after, so a body that does not parse may be one its live
+        owner is writing right now.
         """
         try:
             text = path.read_text()
@@ -316,7 +315,7 @@ class ResultCache:
             pid = int(body["pid"])
             same_host = body.get("host") == os.uname().nodename
         except (ValueError, KeyError, TypeError):
-            return True  # half-written or corrupt claim: nobody owns it
+            same_host = False  # owner unknown: only age can prove it gone
         if same_host:
             try:
                 os.kill(pid, 0)
@@ -360,10 +359,12 @@ class ResultCache:
     ) -> tuple[dict, bool]:
         """Execute ``compute()`` for ``key`` at most once across processes.
 
-        Returns ``(payload, executed_here)``.  The winner of the claim
-        race computes, publishes the entry with :meth:`put`, and releases
-        the claim; losers poll the cache until the entry appears (or the
-        claim is released/stolen, at which point they compete to claim).
+        Returns ``(payload, executed_here)``.  Each turn claims, then
+        reads the entry once (claiming first, so a sibling cannot publish
+        and release between our miss and our claim): an entry is
+        returned; a winner finding none computes, publishes it with
+        :meth:`put`, and releases the claim.  Losers poll until the
+        entry appears or the claim is released or stolen.
 
         Fail-open contract: a disabled cache computes immediately; a
         follower that outwaits ``timeout_s`` (publisher wedged, or its
@@ -372,23 +373,20 @@ class ResultCache:
         """
         if not self.enabled:
             return compute(), True
-        cached = self.get(key)
-        if cached is not None:
-            return cached, False
         deadline = time.monotonic() + timeout_s
         while True:
-            cached = self.get(key)
-            if cached is not None:
-                self.single_flight_follows += 1
-                return cached, False
-            if self.try_claim(key):
-                try:
+            claimed = self.try_claim(key)
+            try:
+                cached = self.get(key)
+                if cached is not None:
+                    return cached, False
+                if claimed:
                     payload = compute()
                     self.put(key, payload)
-                finally:
+                    return payload, True
+            finally:
+                if claimed:
                     self.release_claim(key)
-                self.single_flight_executions += 1
-                return payload, True
             claim = self.claim_path_for(key)
             try:
                 st = claim.stat()
@@ -398,7 +396,6 @@ class ResultCache:
                 self._steal_claim(claim, st.st_mtime_ns)
                 continue
             if time.monotonic() >= deadline:
-                self.single_flight_timeouts += 1
                 logger.warning(
                     "single-flight wait for %s exceeded %gs; computing locally",
                     key, timeout_s,
@@ -471,19 +468,4 @@ class ResultCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-        }
-
-    @property
-    def resilience_stats(self) -> dict[str, object]:
-        return {
-            "io_errors": self.io_errors,
-            "fallback_puts": self.fallback_puts,
-            "fallback_hits": self.fallback_hits,
-            "orphans_swept": self.orphans_swept,
-            "claims_stolen": self.claims_stolen,
-            "single_flight_executions": self.single_flight_executions,
-            "single_flight_follows": self.single_flight_follows,
-            "single_flight_timeouts": self.single_flight_timeouts,
-            "breaker_state": self.breaker.state,
-            "breaker_trips": self.breaker.trips,
         }

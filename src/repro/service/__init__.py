@@ -11,10 +11,10 @@ The moving parts, one module each:
 * :mod:`~repro.service.jobspec`   — spec validation, canonical job
   identity, and execution;
 * :mod:`~repro.service.jobstore`  — the in-memory job table and states;
-* :mod:`~repro.service.coalescer` — identical in-flight jobs execute
-  once, every submitter reads the same bytes;
-* :mod:`~repro.service.queue`     — the bounded queue, worker threads,
-  warm-result cache, and token-bucket rate limiter;
+* :mod:`~repro.service.queue`     — the bounded queue, its flight table
+  (identical in-flight jobs execute once, every submitter reads the
+  same bytes), worker threads, warm-result cache, and token-bucket rate
+  limiter;
 * :mod:`~repro.service.server`    — the HTTP endpoints, backpressure
   responses (429 + ``Retry-After``), and graceful SIGTERM drain;
 * :mod:`~repro.service.mpserve`   — the ``--workers N`` pre-fork
@@ -52,7 +52,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "AdmissionController",
     ),
     "repro.service.client": ("ServiceClient", "parse_retry_after"),
-    "repro.service.coalescer": ("Coalescer",),
     "repro.service.mpserve": (
         "ServiceSupervisor",
         "WorkerConfig",

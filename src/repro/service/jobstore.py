@@ -1,18 +1,19 @@
 """In-memory job registry: states, results, and status payloads.
 
 A :class:`Job` moves ``queued -> running -> done`` (or ``failed``).
-Jobs that attached to another in-flight execution (coalesced) or were
-answered from the warm-result cache skip straight to ``done``; their
-status payload says so, because "why was this instant?" is the first
-question an operator asks.
+Jobs answered from the warm-result cache are born ``done``; jobs that
+attached to an identical in-flight execution (coalesced) never run and
+go straight from ``queued`` to its terminal state.  Their status
+payload says so, because "why was this instant?" is the first question
+an operator asks.
 
 The store is a dict behind one lock.  That is deliberate: the service
 is a front-end for *minutes*-scale profiling jobs, so job-table
-operations are never the bottleneck, and a single lock makes the
-coalescing invariants (exactly one primary per key, followers finish
-with the primary's exact result object) easy to prove.
+operations are never the bottleneck.  Coalescing (one primary per key,
+followers finishing with its exact result bytes) lives in the queue's
+flight table, under the queue's lock, not here.
 
-Multi-process serving (PR 10) adds two things:
+Multi-process serving adds two things:
 
 * an **id prefix** — pre-forked workers each run their own store, so ids
   must be unique fleet-wide (``job-w0-000001`` vs ``job-w1-000001``), or

@@ -18,8 +18,10 @@ What makes N processes *one service*:
 
 * the shared :class:`~repro.parallel.cache.ResultCache` directory plus
   its claim-file protocol gives **cross-process single-flight** — a
-  storm of identical specs executes once fleet-wide
-  (``ResultCache.single_flight``);
+  storm of identical specs executes once fleet-wide.  Every worker's
+  :class:`~repro.service.queue.ServiceQueue` runs each primary through
+  ``ResultCache.single_flight``, exactly as ``--workers 1`` does, so
+  this needs no multi-process switch;
 * fleet-unique job ids (``job-w1-000003``) plus shared per-job records
   (:class:`~repro.service.jobstore.JobStore`) mean a status or result
   poll answered by *any* worker — the kernel picks one per connection —
@@ -106,7 +108,6 @@ class WorkerConfig:
     #: result polls for jobs accepted by a sibling (supervisor fills it in).
     jobs_dir: str | None = None
     batch_depth_fraction: float = 0.5
-    single_flight_timeout_s: float = 120.0
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -192,8 +193,6 @@ def serve_worker(
         degraded_window_s=cfg.degraded_window_s,
         access_log=access_log,
         span_log=span_log,
-        single_flight=multiproc,
-        single_flight_timeout_s=cfg.single_flight_timeout_s,
         **queue_opts,
     )
     server = ServiceServer(

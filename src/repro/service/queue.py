@@ -1,14 +1,23 @@
 """The bounded job queue, its worker pool, and the token-bucket limiter.
 
 :class:`ServiceQueue` is the service's engine room.  ``submit`` decides,
-atomically under one lock, which of three paths a spec takes:
+atomically under one lock, which of three ways a spec goes:
 
-1. **warm hit** — the result cache already holds this key's canonical
+1. **follow** — an identical job is already in flight (queued or
+   running): attach to its flight as a follower, taking no queue slot
+   and no worker thread, and finish with its exact result bytes;
+2. **warm hit** — the result cache already holds this key's canonical
    payload: the job is born ``done`` with those bytes, no execution;
-2. **coalesce** — an identical job is queued or running: attach as a
-   follower and share its eventual result;
-3. **enqueue** — take a slot in the bounded queue, or fail with
-   :class:`~repro.errors.ServiceSaturatedError` (HTTP 429) when full.
+3. **enqueue** — become the key's primary and take a slot in the bounded
+   queue, or fail with :class:`~repro.errors.ServiceSaturatedError`
+   (HTTP 429) when full.
+
+Each in-flight key has one flight record (primary, followers, running
+attempt) in a table guarded by the queue lock.  Every primary executes
+through ``cache.single_flight(key, compute)`` at every worker count, so
+a key runs once across all processes sharing the cache directory; with
+no cache configured the queue holds a disabled
+:class:`~repro.parallel.cache.ResultCache`, which computes at once.
 
 Worker threads execute jobs through :func:`~repro.service.jobspec
 .execute_job` (injectable for tests), each under its own telemetry
@@ -23,13 +32,16 @@ A job past its deadline is *abandoned*: its delivery is accounted for
 (so drain cannot hang on it), the stuck worker thread is retired and a
 replacement spawned, and the job is either requeued (while attempts
 remain under ``job_max_attempts``) or failed along with its coalesced
-followers.  If the stuck executor ever does return, its result is
-discarded — the abandoned generation is recorded precisely so a late
-result cannot overwrite the watchdog's verdict.  The watchdog also
-respawns worker threads that died outright.  Each incident is
-timestamped; :meth:`ServiceQueue.health` reports ``degraded`` (distinct
-from unready) while incidents are recent or the result cache's circuit
-breaker is open.  See ``docs/robustness.md``.
+followers.  A requeued job's claim is released, so its retry does not
+wait on its own stuck attempt.  If the stuck executor ever does return,
+its result is discarded — abandoning takes the flight away from the
+stuck thread, so a late result cannot overwrite the watchdog's verdict.
+(Its late cache publish and claim release cost at most a duplicate
+execution: results are deterministic.)  The watchdog also respawns
+worker threads that died outright.  Each incident is timestamped;
+:meth:`ServiceQueue.health` reports ``degraded`` (distinct from unready)
+while incidents are recent or the result cache's circuit breaker is
+open.  See ``docs/robustness.md``.
 """
 
 from __future__ import annotations
@@ -48,7 +60,6 @@ from repro.jsonl import JsonlLog
 from repro.parallel.cache import ResultCache
 from repro.parallel.seeding import canonical_json
 from repro.service.accesslog import AccessLog
-from repro.service.coalescer import Coalescer
 from repro.service.jobspec import execute_job, job_key, normalize_job
 from repro.service.jobstore import Job, JobStore
 from repro.service.trace import TraceContext, mint_trace
@@ -76,6 +87,17 @@ WAIT_SECONDS_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 60.0)
 
 #: Queue sentinel telling a worker thread to exit.
 _STOP = object()
+
+
+@dataclasses.dataclass
+class _Flight:
+    """One key in flight: its primary, followers, and running attempt
+    (``thread`` and ``deadline`` are ``None`` while the primary is queued)."""
+
+    primary: Job
+    followers: list[Job] = dataclasses.field(default_factory=list)
+    thread: threading.Thread | None = None
+    deadline: float | None = None
 
 
 class TokenBucket:
@@ -153,8 +175,6 @@ class ServiceQueue:
         clock: Callable[[], float] = time.monotonic,
         access_log: AccessLog | None = None,
         span_log: JsonlLog | None = None,
-        single_flight: bool = False,
-        single_flight_timeout_s: float = 120.0,
         store: JobStore | None = None,
     ) -> None:
         if workers < 1:
@@ -168,7 +188,7 @@ class ServiceQueue:
         # Injectable so multi-process workers can run a store with a
         # fleet-unique id prefix and a shared record directory.
         self.store = store if store is not None else JobStore()
-        self.cache = cache
+        self.cache = cache if cache is not None else ResultCache(enabled=False)
         self.capacity = capacity
         self.retry_after_s = retry_after_s
         self.job_timeout_s = job_timeout_s
@@ -180,16 +200,13 @@ class ServiceQueue:
         self._n_workers = workers
         self._q: _stdqueue.Queue = _stdqueue.Queue(maxsize=capacity)
         self._lock = threading.Lock()
-        self._coalescer = Coalescer()
+        #: job key -> the flight of its one in-flight primary.
+        self._flights: dict[str, _Flight] = {}
         self._threads: list[threading.Thread] = []
         self._draining = False
         self._stopping = False
         self._watchdog: threading.Thread | None = None
         self._watchdog_stop = threading.Event()
-        #: job.id -> (job, worker thread, attempt generation, deadline).
-        self._inflight: dict[str, tuple[Job, threading.Thread, int, float | None]] = {}
-        #: (job.id, generation) pairs whose eventual result must be discarded.
-        self._abandoned: set[tuple[str, int]] = set()
         #: Monotonic timestamps of recent watchdog incidents (degraded signal).
         self._incidents: list[float] = []
         self._worker_serial = 0
@@ -200,11 +217,6 @@ class ServiceQueue:
         #: dict per merged worker span.  Both optional and off by default.
         self._access_log = access_log
         self._span_log = span_log
-        #: Cross-process single-flight (PR 10): when several pre-forked
-        #: worker processes share one cache directory, identical job keys
-        #: execute once fleet-wide via the cache's claim-file protocol.
-        self._single_flight = single_flight and cache is not None
-        self._single_flight_timeout_s = single_flight_timeout_s
         #: Service lifecycle counters — always live, whatever the
         #: telemetry setting, because ``/metrics`` and the CI smoke test
         #: scrape them unconditionally.
@@ -298,11 +310,11 @@ class ServiceQueue:
                 t for t in self._incidents if now - t <= self.degraded_window_s
             ]
             expired = [
-                entry for entry in self._inflight.values()
-                if entry[3] is not None and now >= entry[3]
+                f for f in self._flights.values()
+                if f.deadline is not None and now >= f.deadline
             ]
-            for job, thread, gen, _deadline in expired:
-                self._abandon_locked(job, thread, gen)
+            for flight in expired:
+                self._abandon_locked(flight)
             # Belt and braces: a worker thread that died outright (a bug
             # this layer cannot rule out) gets replaced so capacity never
             # silently decays.
@@ -314,16 +326,16 @@ class ServiceQueue:
                     self.metrics.counter("service.workers_restarted").inc()
                     logger.warning("service worker %s died; restarted", t.name)
 
-    def _abandon_locked(self, job: Job, thread: threading.Thread, gen: int) -> None:
+    def _abandon_locked(self, flight: _Flight) -> None:
         """Take a hung job away from its stuck worker (lock held).
 
         The stuck thread keeps running its executor call — Python cannot
         preempt it — but from here on it is a zombie: its delivery is
         accounted, its thread retired from the pool, and its eventual
-        result (if any) discarded by generation check.
+        result (if any) discarded, since it no longer owns the flight.
         """
-        self._inflight.pop(job.id, None)
-        self._abandoned.add((job.id, gen))
+        job, thread = flight.primary, flight.thread
+        flight.thread, flight.deadline = None, None
         # Account the delivery the stuck worker will never task_done.
         self._q.task_done()
         self._incidents.append(self.clock())
@@ -345,13 +357,16 @@ class ServiceQueue:
                 pass  # no room to retry: fall through to failure
             else:
                 job.state = "queued"
+                # The zombie's claim carries our live pid, so nothing would
+                # steal it: the retry would wait out the claim timeout.
+                self.cache.release_claim(job.key)
                 self.metrics.counter("service.jobs_requeued").inc()
                 logger.warning(
                     "job %s exceeded its %ss deadline; requeued (attempt %d/%d)",
                     job.id, timeout, job.attempts, self.job_max_attempts,
                 )
                 return
-        followers = self._coalescer.complete(job.key)
+        followers = self._flights.pop(job.key).followers
         now = time.monotonic()
         error = (
             f"DeadlineExceededError: job exceeded its {timeout}s deadline "
@@ -371,7 +386,7 @@ class ServiceQueue:
         from *unready* (draining/stopped), which fails the probe.
         """
         reasons: list[str] = []
-        if self.cache is not None and getattr(self.cache, "degraded", False):
+        if self.cache.degraded:
             reasons.append("cache circuit open")
         now = self.clock()
         with self._lock:
@@ -445,27 +460,30 @@ class ServiceQueue:
                 raise ServiceError("service is draining; not accepting jobs")
             self.metrics.counter("service.jobs_submitted").inc()
 
-            primary = self._coalescer.primary_for(key)
-            if primary is not None:
+            flight = self._flights.get(key)
+            if flight is not None:
                 job = self.store.create(normalized, key)
                 job.trace_id = trace.trace_id
-                self._coalescer.attach(key, job)
+                # Its own trace, plus the trace of the execution that
+                # will produce its result.
+                job.coalesced = True
+                job.primary_trace_id = flight.primary.trace_id
+                flight.followers.append(job)
                 self.metrics.counter("service.jobs_coalesced").inc()
                 return job
 
-            if self.cache is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    job = self.store.create(normalized, key)
-                    job.trace_id = trace.trace_id
-                    self._finish_locked(
-                        job, state="done", cache_hit=True,
-                        result_text=canonical_json(cached),
-                        finished_s=time.monotonic(),
-                    )
-                    self.metrics.counter("service.cache_hits").inc()
-                    self.metrics.counter("service.jobs_done").inc()
-                    return job
+            cached = self.cache.get(key)
+            if cached is not None:
+                job = self.store.create(normalized, key)
+                job.trace_id = trace.trace_id
+                self._finish_locked(
+                    job, state="done", cache_hit=True,
+                    result_text=canonical_json(cached),
+                    finished_s=time.monotonic(),
+                )
+                self.metrics.counter("service.cache_hits").inc()
+                self.metrics.counter("service.jobs_done").inc()
+                return job
 
             job = self.store.create(normalized, key)
             job.trace_id = trace.trace_id
@@ -481,7 +499,7 @@ class ServiceQueue:
                     f"job queue full ({self.capacity} deep); retry later",
                     retry_after=self.retry_after_s,
                 ) from None
-            self._coalescer.register(key, job)
+            self._flights[key] = _Flight(job)
             self.metrics.gauge("service.queue_depth").set(self._q.qsize())
             return job
 
@@ -510,30 +528,6 @@ class ServiceQueue:
                 # its successor owns the queue now.
                 return
 
-    def _run_single_flight(self, job: Job, tel) -> dict:
-        """Execute ``job`` through the cache's cross-process claim protocol.
-
-        At most one process in the fleet runs the executor for this key;
-        everyone else reads the published cache entry, whose canonical
-        bytes are exactly what a local execution would have produced (the
-        byte-identity contract the multi-process tests pin).
-        """
-
-        def _compute() -> dict:
-            with telemetry.session(tel):
-                return self._executor(job.spec)
-
-        result, executed_here = self.cache.single_flight(
-            job.key,
-            _compute,
-            timeout_s=self._single_flight_timeout_s,
-        )
-        if executed_here:
-            self.metrics.counter("service.single_flight_executed").inc()
-        else:
-            self.metrics.counter("service.single_flight_followed").inc()
-        return result
-
     def _run_one(self, job: Job) -> bool:
         """Execute one job; returns True when the watchdog abandoned it."""
         me = threading.current_thread()
@@ -541,12 +535,12 @@ class ServiceQueue:
             job.state = "running"
             job.started_s = time.monotonic()
             job.attempts += 1
-            gen = job.attempts
-            deadline = (
+            flight = self._flights[job.key]
+            flight.thread = me
+            flight.deadline = (
                 None if self.job_timeout_s is None
                 else self.clock() + self.job_timeout_s
             )
-            self._inflight[job.id] = (job, me, gen, deadline)
             self.metrics.gauge("service.queue_depth").set(self._q.qsize())
             self.metrics.histogram(
                 "service.queue_wait_seconds", WAIT_SECONDS_BUCKETS
@@ -554,17 +548,19 @@ class ServiceQueue:
             self._adjust_busy_locked(+1)
 
         tel = telemetry.Telemetry(enabled=self.telemetry.enabled)
+
+        def compute() -> dict:
+            with telemetry.session(tel):
+                result = self._executor(job.spec)
+            # Publish only what canonically encodes (NaN would not).
+            return json.loads(canonical_json(result))
+
         result_text: str | None = None
         error: str | None = None
-        stored_by_single_flight = False
+        executed_here = False
         t0 = time.monotonic()
         try:
-            if self._single_flight:
-                result = self._run_single_flight(job, tel)
-                stored_by_single_flight = True
-            else:
-                with telemetry.session(tel):
-                    result = self._executor(job.spec)
+            result, executed_here = self.cache.single_flight(job.key, compute)
             result_text = canonical_json(result)
         except ReproError as exc:
             error = f"{type(exc).__name__}: {exc}"
@@ -575,16 +571,13 @@ class ServiceQueue:
 
         with self._lock:
             self._adjust_busy_locked(-1)
-            entry = self._inflight.get(job.id)
-            if entry is not None and entry[2] == gen:
-                del self._inflight[job.id]
-            if (job.id, gen) in self._abandoned:
+            if self._flights.get(job.key) is not flight or flight.thread is not me:
                 # The watchdog already ruled on this attempt (failed or
                 # requeued it) — a late result must not overrule it.
-                self._abandoned.discard((job.id, gen))
                 self.metrics.counter("service.results_abandoned").inc()
                 return True
-            followers = self._coalescer.complete(job.key)
+            del self._flights[job.key]
+            followers = flight.followers
             terminal = (
                 {"state": "done", "result_text": result_text} if error is None
                 else {"state": "failed", "error": error}
@@ -595,8 +588,10 @@ class ServiceQueue:
             n = 1 + len(followers)
             if error is None:
                 self.metrics.counter("service.jobs_done").inc(n)
-                if self.cache is not None and not stored_by_single_flight:
-                    self.cache.put(job.key, json.loads(result_text))
+                self.metrics.counter(
+                    "service.single_flight_executed" if executed_here
+                    else "service.single_flight_followed"
+                ).inc()
             else:
                 self.metrics.counter("service.jobs_failed").inc(n)
             self.metrics.histogram(

@@ -61,7 +61,7 @@ _POLL_S = 0.005
 
 def _resolve_spec(job_spec, k: int) -> dict:
     """``job_spec`` is either one fixed dict (every request is the same
-    job — exercises the coalescer and warm cache) or a factory over the
+    job — exercises coalescing and the warm cache) or a factory over the
     request index (distinct jobs — every request is real work)."""
     return job_spec(k) if callable(job_spec) else job_spec
 

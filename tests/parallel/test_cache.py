@@ -214,3 +214,48 @@ def test_sweep_logs_per_sweep_delta_not_lifetime_total(tmp_path, caplog):
     with caplog.at_level("INFO", logger="repro.parallel.cache"):
         cache._sweep_orphans(0.0)
     assert "swept" not in caplog.text
+
+
+# -- single-flight ------------------------------------------------------------
+
+KEY = "ab" * 32
+
+
+def test_cold_single_flight_reads_the_entry_once(tmp_path):
+    """One cold call is one disk read (one miss), then one execution."""
+    cache = ResultCache(tmp_path / "c")
+    payload, executed = cache.single_flight(KEY, lambda: {"v": 1})
+    assert (payload, executed) == ({"v": 1}, True)
+    assert cache.misses == 1 and cache.hits == 0
+    assert not cache.claim_path_for(KEY).exists()
+    assert cache.get(KEY) == {"v": 1}
+
+
+def test_entry_published_just_before_our_claim_is_read_not_recomputed(tmp_path):
+    """A sibling that publishes and releases between a caller's read and
+    its claim must not cost a second execution."""
+    cache = ResultCache(tmp_path / "c")
+    sibling = ResultCache(tmp_path / "c")
+    claim = cache.try_claim
+
+    def sibling_finishes_first(key):
+        sibling.put(key, {"v": "sibling"})
+        return claim(key)
+
+    cache.try_claim = sibling_finishes_first
+    payload, executed = cache.single_flight(KEY, lambda: {"v": "here"})
+    assert (payload, executed) == ({"v": "sibling"}, False)
+    assert not cache.claim_path_for(KEY).exists()
+
+
+def test_claim_under_construction_is_not_stale_until_old(tmp_path):
+    """A claim exists, empty, between its owner's ``O_EXCL`` create and
+    its body write: a sibling must not steal it as corrupt, only once it
+    is older than the staleness bound."""
+    cache = ResultCache(tmp_path / "c")
+    path = cache.claim_path_for(KEY)
+    path.parent.mkdir(parents=True)
+    path.write_text("")
+    assert not cache._claim_is_stale(path, 3600.0)
+    assert not cache.try_claim(KEY)
+    assert cache._claim_is_stale(path, 0.0)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.parallel.cache import ResultCache
 from repro.resilience import CircuitBreaker
-from repro.service import ServiceQueue, ServiceServer
+from repro.service import SERVICE_CACHE_SCHEMA, ServiceQueue, ServiceServer
 
 
 def spec_for(seed: int) -> dict:
@@ -129,6 +129,30 @@ class TestHungJobs:
             assert job.result_text == '{"echo":7}'
             assert counter(q, "service.jobs_requeued") == 1
             assert "attempts" in job.status_payload()  # surfaced to clients
+        finally:
+            ex.gate.set()
+            q.stop()
+
+    def test_requeued_attempt_does_not_wait_on_its_own_claim(self, tmp_path):
+        """Regression: the stuck attempt's zombie thread still holds the
+        key's single-flight claim, under this live pid, so nothing would
+        steal it; the retry must not poll it out until the claim timeout."""
+        now = [0.0]
+        ex = HangingExecutor(hang_first=1)
+        cache = ResultCache(tmp_path / "c", schema=SERVICE_CACHE_SCHEMA)
+        q = make_queue(ex, clock=lambda: now[0], job_max_attempts=2,
+                       cache=cache)
+        q.start()
+        try:
+            job = q.submit(spec_for(7))
+            assert ex.hung.wait(timeout=10.0)
+            t0 = time.monotonic()
+            now[0] = 6.0  # attempt 1 expires -> requeue
+            wait_until(lambda: job.state == "done", timeout=5.0)
+            assert time.monotonic() - t0 < 1.0
+            assert job.attempts == 2
+            assert job.result_text == '{"echo":7}'
+            assert counter(q, "service.jobs_requeued") == 1
         finally:
             ex.gate.set()
             q.stop()

@@ -234,6 +234,44 @@ class TestWarmCache:
             q.stop()
 
 
+
+class TestSharedCacheStorm:
+    def test_storm_across_two_queues_executes_once(self, tmp_path):
+        """The N-worker storm above the cache layer: two queues (one per
+        worker process in ``serve --workers 2``) share one cache directory
+        and one counting executor; 8 identical submissions, 4 to each,
+        execute once and every job reads the same bytes."""
+        ex = GatedExecutor()
+        queues = [
+            make_queue(ex, workers=1, cache=ResultCache(
+                tmp_path / "c", schema=SERVICE_CACHE_SCHEMA))
+            for _ in range(2)
+        ]
+        for q in queues:
+            q.start()
+        try:
+            jobs = [queues[i % 2].submit(spec_for(0)) for i in range(8)]
+            assert ex.started.acquire(timeout=10)  # one primary executes
+            primaries = [j for j in jobs if not j.coalesced]
+            assert len(primaries) == 2
+            wait_until(lambda: all(p.state == "running" for p in primaries))
+            ex.gate.set()
+            wait_until(lambda: all(j.state == "done" for j in jobs))
+            assert ex.calls == 1
+            assert len({j.result_text for j in jobs}) == 1
+            assert jobs[0].result_text == '{"echo":0}'
+
+            def total(name):
+                return sum(q.metrics.counter(name).value for q in queues)
+
+            assert total("service.single_flight_executed") == 1
+            assert total("service.single_flight_followed") == 1
+            assert total("service.jobs_coalesced") == 6
+        finally:
+            ex.gate.set()
+            for q in queues:
+                q.stop()
+
 class TestTokenBucket:
     def test_burst_then_deny_then_refill(self):
         now = [0.0]
