@@ -50,8 +50,8 @@ def save_and_print(
     """Persist one regenerated table and echo it to the terminal.
 
     When ``data`` is given, a machine-readable twin lands next to the
-    text rendering as ``<name>.json`` so ``bench_all.py`` can aggregate
-    the benchmark trajectory without re-parsing human-formatted tables.
+    text rendering as ``<name>.json``, so CI artifacts and later
+    comparisons need not re-parse human-formatted tables.
     """
     path = results_dir / f"{name}.txt"
     path.write_text(text + "\n")
@@ -67,27 +67,3 @@ def save_and_print(
         )
     print(f"\n=== {name} ===\n{text}\n[saved to {path}]")
 
-
-def load_result(results_dir: pathlib.Path, name: str) -> Any:
-    """Read back the ``data`` payload of one emitted result (or None).
-
-    A present-but-broken file — unreadable, non-JSON, wrong envelope —
-    raises :class:`repro.errors.SchemaError` naming the defect, never a
-    ``KeyError``/``TypeError`` from blind field access.
-    """
-    from repro.errors import SchemaError
-
-    path = results_dir / f"{name}.json"
-    if not path.exists():
-        return None
-    try:
-        envelope = json.loads(path.read_text())
-    except OSError as exc:
-        raise SchemaError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(envelope, dict) or envelope.get("schema") != RESULT_SCHEMA:
-        raise SchemaError(f"{path} is not a {RESULT_SCHEMA} document")
-    if "data" not in envelope:
-        raise SchemaError(f"{path} has no 'data' payload")
-    return envelope["data"]

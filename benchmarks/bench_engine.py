@@ -13,13 +13,11 @@ Two claims are checked, not hoped:
   across repetitions (the oracle's surviving in-bench guard; cross-commit
   stability is pinned by the interval goldens);
 * **>= 3x** — columnar hot-path samples/s must be at least three times
-  the PR8 trajectory baseline (read from ``BENCH_PR8.json``).
+  the PR8 baseline (``PR8_BASELINE_SAMPLES_PER_SEC``, the published value).
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
 import time
 
 from _util import save_and_print
@@ -34,19 +32,10 @@ from repro.workloads.suites.registry import BENCHMARKS
 ENGINE_CONFIG = RunConfig(64, 4)
 REPETITIONS = 3
 #: Acceptance bar carried over from ISSUE 9: columnar hot-path throughput
-#: must be at least this multiple of the PR8 trajectory baseline.
+#: must be at least this multiple of the PR8 baseline.
 SPEEDUP_FLOOR = 3.0
-
-_REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-
-
-def _pr8_baseline() -> float | None:
-    """The samples/s the PR8 trajectory published, if the file is present."""
-    path = _REPO_ROOT / "BENCH_PR8.json"
-    if not path.exists():
-        return None
-    doc = json.loads(path.read_text())
-    return float(doc["throughput"]["samples_per_sec"])
+#: Hot-path samples/s published for PR 8, before the columnar rebuild.
+PR8_BASELINE_SAMPLES_PER_SEC = 430_774.5
 
 
 def _batch_bytes(batch) -> tuple[bytes, ...]:
@@ -99,8 +88,8 @@ def test_engine_hot_path(benchmark, results_dir):
     total = sum(best.values())
     total_samples = sum(samples.values())
     samples_per_sec = total_samples / total if total else 0.0
-    baseline = _pr8_baseline()
-    vs_baseline = samples_per_sec / baseline if baseline else None
+    baseline = PR8_BASELINE_SAMPLES_PER_SEC
+    vs_baseline = samples_per_sec / baseline
 
     lines = [
         "columnar engine hot path (run + sample), "
@@ -111,9 +100,8 @@ def test_engine_hot_path(benchmark, results_dir):
         lines.append(f"{name:<15}{best[name]:>10.3f}{samples[name]:>12,}")
     lines.append(f"{'aggregate':<15}{total:>10.3f}{total_samples:>12,}")
     lines.append(
-        f"({samples_per_sec:,.0f} samples/s"
-        + (f", {vs_baseline:.2f}x the PR8 baseline {baseline:,.1f})" if baseline
-           else ", no PR8 baseline found)")
+        f"({samples_per_sec:,.0f} samples/s, "
+        f"{vs_baseline:.2f}x the PR8 baseline {baseline:,.1f})"
     )
     save_and_print(
         results_dir, "engine_hot_path", "\n".join(lines),
@@ -128,8 +116,7 @@ def test_engine_hot_path(benchmark, results_dir):
         },
     )
     # The acceptance bar carried over from ISSUE 9.
-    if baseline is not None:
-        assert samples_per_sec >= SPEEDUP_FLOOR * baseline, (
-            f"columnar hot path at {samples_per_sec:,.0f} samples/s is below "
-            f"{SPEEDUP_FLOOR}x the PR8 baseline ({baseline:,.1f})"
-        )
+    assert samples_per_sec >= SPEEDUP_FLOOR * baseline, (
+        f"columnar hot path at {samples_per_sec:,.0f} samples/s is below "
+        f"{SPEEDUP_FLOOR}x the PR8 baseline ({baseline:,.1f})"
+    )

@@ -15,8 +15,7 @@ Two numbers gate the fleet subsystem:
   record-building cost is micro-timed on a real captured window, and
   the ratio against the remaining (pure simulation) time is asserted.
 
-Both land in ``benchmarks/results/`` as text + JSON; ``bench_all.py``
-folds them into the ``BENCH_PR<k>.json`` trajectory point.
+Both land in ``benchmarks/results/`` as text + JSON.
 """
 
 from __future__ import annotations

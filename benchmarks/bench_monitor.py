@@ -11,8 +11,7 @@ Two numbers gate the streaming subsystem (ISSUE 3):
   must add < 5% wall time over plain ``profile`` on the Table VII pass,
   measured interleaved min-of-3.
 
-Both land in ``benchmarks/results/`` as text + JSON; ``bench_all.py``
-folds them into the ``BENCH_PR<k>.json`` trajectory point.
+Both land in ``benchmarks/results/`` as text + JSON.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ Two claims gate the parallel subsystem (ISSUE 4):
 * **Scaling** — ``--jobs 4`` must beat serial by >= 1.7x on cold-cache
   Table II generation.  Asserted only when the machine actually exposes
   four usable CPUs (``os.sched_getaffinity``); the measured speedups are
-  recorded either way and fold into the ``BENCH_PR<k>.json`` trajectory.
+  recorded either way.
 
 A warm-cache pass is also timed: replaying the whole campaign from the
 on-disk result cache must be dramatically cheaper than recomputing it.

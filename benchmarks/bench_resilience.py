@@ -16,8 +16,6 @@ Two claims gate the crash-resilience subsystem (ISSUE 6):
   ``chaos-standard`` infra-fault plan (worker kills, cache corruption,
   ENOSPC) must produce canonical payloads byte-identical to the
   fault-free run.  Asserted unconditionally.
-
-Both numbers fold into the ``BENCH_PR<k>.json`` trajectory.
 """
 
 from __future__ import annotations

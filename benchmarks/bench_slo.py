@@ -16,8 +16,7 @@ Two claims gate the request-path observability plane (ISSUE 8):
   where it runs and scaled by the measured HTTP-requests-per-round-trip
   from the access log.
 
-Both land in ``benchmarks/results/``; ``bench_all.py`` folds them into
-the ``slo`` section of the ``BENCH_PR<k>.json`` trajectory point.
+Both land in ``benchmarks/results/``.
 """
 
 from __future__ import annotations

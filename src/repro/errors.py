@@ -99,10 +99,5 @@ class FleetError(ReproError):
     """Invalid fleet wire record, aggregator misuse, or fleet rule."""
 
 
-class SchemaError(ReproError):
-    """A JSON document does not match its declared schema (trajectory
-    points, benchmark result envelopes, and other machine-readable files)."""
-
-
 class SloError(ReproError):
     """Invalid SLO spec, loadgen configuration, or SLO report document."""

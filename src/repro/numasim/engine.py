@@ -27,8 +27,8 @@ out as parallel numpy columns (one row per (thread, stream, level, dst)
 combination) and the fixed point is evaluated with vectorized latency
 math.  Its bit-exact behaviour is pinned by the interval goldens and
 hypothesis property tests in ``tests/engine/`` — the scalar reference
-kernel that once served as the differential oracle was retired after the
-columnar path earned a trajectory point (see docs/performance.md).
+kernel that once served as the differential oracle was retired once the
+columnar path's throughput was recorded (see docs/performance.md).
 """
 
 from __future__ import annotations

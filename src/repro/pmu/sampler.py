@@ -98,14 +98,14 @@ class AddressSampler:
         # is pure; caching it keeps the streaming path (many small interval
         # batches over the same regions) as cheap as the batch path.
         self._page_cache: dict[tuple[int, int, int, int], np.ndarray | None | bool] = {}
-        # Single-slot cache of the per-row address-group structure for the
+        # Single-slot cache of the per-row candidate-page layout for the
         # last BucketRates table seen by sample_interval.  Every interval
         # sliced from one stationary span shares the same table object, so
-        # resolving candidate pages and grouping rows once per span (not
-        # once per interval) turns the streaming path's per-interval setup
-        # into pure array indexing.  Keyed by identity; spans arrive
-        # sequentially so one slot always hits within a span.
-        self._span_groups: tuple[object, np.ndarray, list] | None = None
+        # resolving candidate pages once per span (not once per interval)
+        # turns the streaming path's per-interval setup into pure array
+        # indexing.  Keyed by identity; spans arrive sequentially so one
+        # slot always hits within a span.
+        self._span_pages: tuple[object, tuple[np.ndarray, ...]] | None = None
 
     def sample_run_batch(self, run: RunResult) -> RawSampleBatch:
         """Columnar samples for a whole run (the fast path).
@@ -233,18 +233,18 @@ class AddressSampler:
         if rows.size == 0:
             return RawSampleBatch.empty()
 
-        # Row → address-group id, resolved once per span's shared rates
-        # table; rows whose page placement no longer matches (gid -2) are
-        # dropped like the batch path does.
-        gid_table, groups = self._row_groups(r)
-        ok = gid_table[rows] != -2
+        # Row → candidate-page layout, resolved once per span's shared
+        # rates table; rows whose page placement no longer matches
+        # (npages -2) are dropped like the batch path does.
+        start, npages, pages = self._span_layout(r)
+        ok = npages[rows] != -2
         if not np.any(ok):
             return RawSampleBatch.empty()
         rows = rows[ok]
         counts = draws[rows]
         total = int(counts.sum())
 
-        addresses = self._grouped_addresses(r, rows, counts, gid_table, groups, total)
+        addresses = self._interval_addresses(r, rows, counts, start, npages, pages, total)
         medians = np.repeat(r.latency[rows], counts)
         latencies = medians * self._rng.lognormal(
             mean=0.0, sigma=self.latency_model.noise_sigma, size=total
@@ -262,117 +262,95 @@ class AddressSampler:
         )
         return batch.permuted(self._rng)
 
-    def _candidate_pages_row(self, rates, i: int) -> np.ndarray | None | bool:
-        """Columnar-row variant of the batch path's candidate lookup."""
-        key = (
-            int(rates.region_base[i]),
-            int(rates.region_bytes[i]),
-            int(rates.level[i]),
-            int(rates.dst_node[i]),
-        )
-        try:
-            return self._page_cache[key]
-        except KeyError:
-            return self._candidate_pages_key(key)
+    def _span_layout(self, rates) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-row candidate-page layout for one shared rates table.
 
-    def _row_groups(self, rates) -> tuple[np.ndarray, list[tuple[np.ndarray, int, int]]]:
-        """Per-row address-group structure for one shared rates table.
-
-        Returns ``(gid, groups)`` where ``gid[i]`` is ``-2`` for rows whose
-        page placement no longer matches (drop), ``-1`` for rows without
-        page constraints (uniform offsets), else an index into ``groups``
-        (``(candidate_pages, region_base, region_bytes)`` triples).  Rows
-        sharing a memoized candidate-page set share a group, so address
-        fabrication costs one vectorized draw per distinct placement.
+        Returns ``(start, npages, pages)``: ``pages`` concatenates each
+        distinct memoized candidate-page set the table's rows use, and
+        row ``i``'s set is ``pages[start[i]:start[i] + npages[i]]``.
+        ``npages[i]`` is ``-2`` for rows whose page placement no longer
+        matches (drop) and ``-1`` for rows without page constraints
+        (uniform offsets).
 
         Resolution involves no RNG, so caching it per table is invisible
         to the sample stream.  Single-slot memo: intervals of one span all
         carry the same table object (see ``BucketRates``).
         """
-        cached = self._span_groups
+        cached = self._span_pages
         if cached is not None and cached[0] is rates:
-            return cached[1], cached[2]
+            return cached[1]
+        cache = self._page_cache
         n = len(rates)
-        gid = np.empty(n, dtype=np.int64)
-        groups: list[tuple[np.ndarray, int, int]] = []
-        group_of: dict[int, int] = {}
-        for i in range(n):
-            cand = self._candidate_pages_row(rates, i)
+        start = np.zeros(n, dtype=np.int64)
+        npages = np.empty(n, dtype=np.int64)
+        parts: list[np.ndarray] = []
+        start_of: dict[int, int] = {}
+        end = 0
+        keys = zip(
+            rates.region_base.tolist(), rates.region_bytes.tolist(),
+            rates.level.tolist(), rates.dst_node.tolist(),
+        )
+        for i, key in enumerate(keys):
+            try:
+                cand = cache[key]
+            except KeyError:
+                cand = self._candidate_pages_key(key)
             if cand is False:
-                gid[i] = -2
+                npages[i] = -2
             elif cand is None:
-                gid[i] = -1
+                npages[i] = -1
             else:
-                gkey = id(cand)
-                g = group_of.get(gkey)
-                if g is None:
-                    g = len(groups)
-                    group_of[gkey] = g
-                    groups.append(
-                        (cand, int(rates.region_base[i]), int(rates.region_bytes[i]))
-                    )
-                gid[i] = g
-        self._span_groups = (rates, gid, groups)
-        return gid, groups
+                at = start_of.get(id(cand))
+                if at is None:
+                    at = start_of[id(cand)] = end
+                    parts.append(cand)
+                    end += cand.size
+                start[i] = at
+                npages[i] = cand.size
+        pages = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+        layout = (start, npages, pages)
+        self._span_pages = (rates, layout)
+        return layout
 
-    def _grouped_addresses(
+    def _interval_addresses(
         self,
         rates,
         rows: np.ndarray,
         counts: np.ndarray,
-        gid_table: np.ndarray,
-        groups: list,
+        start: np.ndarray,
+        npages: np.ndarray,
+        pages: np.ndarray,
         total: int,
     ) -> np.ndarray:
-        """Fabricate addresses for all drawn rows with per-group vector draws.
+        """Fabricate addresses for all drawn rows in a few vector draws.
 
-        Rows without page constraints (gid -1) draw uniform offsets in one
-        shot; DRAM rows are grouped by their (shared, memoized)
-        candidate-page set — precomputed per span by :meth:`_row_groups` —
-        so each distinct placement costs one vectorized choice.
+        Rows without page constraints draw uniform offsets in one shot;
+        one pair of draws covers every page-constrained sample, which
+        then picks a page from its row's candidate set in the span's
+        :meth:`_span_layout`.
         """
         base_ps = np.repeat(rates.region_base[rows], counts)
-        gid_ps = np.repeat(gid_table[rows], counts)
+        size_ps = np.repeat(rates.region_bytes[rows], counts)
+        npages_ps = np.repeat(npages[rows], counts)
 
         addresses = np.empty(total, dtype=np.int64)
-        unconstrained = gid_ps < 0
+        unconstrained = npages_ps < 0
         n_u = int(unconstrained.sum())
         if n_u:
-            size_ps = np.repeat(rates.region_bytes[rows], counts)
             offsets = (self._rng.random(n_u) * size_ps[unconstrained]).astype(np.int64)
             addresses[unconstrained] = base_ps[unconstrained] + offsets
         page = self.page_table.page_bytes
         n_paged = total - n_u
         if n_paged:
-            # One pair of RNG draws covers every page-constrained sample;
-            # per-group work is just indexing into its candidate set.
             pick = self._rng.random(n_paged)
             in_page = self._rng.integers(0, page, size=n_paged, dtype=np.int64)
             paged = ~unconstrained
-            # Sort samples by group once and process contiguous runs —
-            # O(n log n) instead of one full-array mask per group (spans
-            # routinely carry 100+ distinct placements).  Values are
-            # scattered back through the sort order, so each position gets
-            # the same address the per-group-mask formulation produced.
-            gids = gid_ps[paged]
-            order = np.argsort(gids, kind="stable")
-            gids_s = gids[order]
-            pick_s = pick[order]
-            in_page_s = in_page[order]
-            out_s = np.empty(n_paged, dtype=np.int64)
-            starts = np.flatnonzero(np.diff(gids_s)) + 1
-            bounds = np.concatenate(([0], starts, [n_paged]))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                pages, base, size = groups[int(gids_s[a])]
-                idx = (pick_s[a:b] * pages.size).astype(np.int64)
-                np.minimum(
-                    base + pages[idx] * page + in_page_s[a:b],
-                    base + size - 1,
-                    out=out_s[a:b],
-                )
-            out = np.empty(n_paged, dtype=np.int64)
-            out[order] = out_s
-            addresses[paged] = out
+            base = base_ps[paged]
+            idx = np.repeat(start[rows], counts)[paged]
+            idx += (pick * npages_ps[paged]).astype(np.int64)
+            addresses[paged] = np.minimum(
+                base + pages[idx] * page + in_page, base + size_ps[paged] - 1
+            )
         return addresses
 
     # -- internals -------------------------------------------------------------

@@ -8,6 +8,11 @@ binds its own ``SO_REUSEPORT`` socket to that port
 load-balances accepted connections across them.  The supervisor binds
 first only to reserve the port (and resolve ``port=0``), then closes
 its socket once every worker has reported ready — it never accepts.
+For a fixed port, a plain bind without ``SO_REUSEPORT`` probes it
+first, so a port any listener holds (another fleet's ``SO_REUSEPORT``
+group included) fails with a :class:`~repro.errors.ServiceError`
+instead of being shared.  Two fleets started in the same instant can
+both pass the probe before either reserves; they then share the port.
 ``SO_REUSEPORT`` is the one pre-fork topology: workers sharing a single
 forked socket can lose the ``select`` race to a sibling and block in
 ``accept()`` through a shutdown, never draining.  A platform without
@@ -114,11 +119,16 @@ class WorkerConfig:
             raise ServiceError(f"workers must be >= 1, got {self.workers}")
 
 
-class _PortReservation(HttpApp):
-    """The supervisor's never-served ``SO_REUSEPORT`` bind of the port."""
+class _PortProbe(HttpApp):
+    """A plain bind of the port, made and closed before the reservation."""
 
     error = ServiceError
     label = "service"
+
+
+class _PortReservation(_PortProbe):
+    """The supervisor's never-served ``SO_REUSEPORT`` bind of the port."""
+
     reuse_port = True
 
 
@@ -268,8 +278,11 @@ class ServiceSupervisor:
         if self._procs:
             raise ServiceError("supervisor already started")
         # Only reserves the port (and resolves port=0), failing fast when
-        # it is taken; the workers bind their own sockets to it.
+        # it is taken; the workers bind their own sockets to it.  The
+        # probe keeps the reservation from joining another fleet's group.
         try:
+            if self.cfg.port:
+                _PortProbe(self.cfg.host, self.cfg.port).stop()
             self._reservation = _PortReservation(self.cfg.host, self.cfg.port)
         except ServiceError:
             self._cleanup()

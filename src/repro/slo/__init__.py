@@ -16,8 +16,7 @@ whether a live server keeps it.  Three modules:
   rates, interpolated-vs-exact quantile cross-checks, knee, and a
   pass/fail verdict per SLO target (breach ⇒ nonzero CLI exit).
 
-Driven by ``drbw loadgen``; published into the bench trajectory as the
-``slo`` section from PR 8 on.  See ``docs/service.md``.
+Driven by ``drbw loadgen``.  See ``docs/service.md``.
 """
 
 from repro._lazy import lazy_exports

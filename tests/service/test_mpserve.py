@@ -338,6 +338,23 @@ class TestSharedPort:
         assert supervisor._procs == []
 
 
+    def test_port_held_by_another_reuseport_group_fails_before_forking(self):
+        # Another fleet's listener: the reservation alone would join its
+        # SO_REUSEPORT group and split the port's connections with it.
+        with socket.socket() as other:
+            other.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
+            other.bind(("127.0.0.1", 0))
+            other.listen(1)
+            port = other.getsockname()[1]
+            supervisor = ServiceSupervisor(WorkerConfig(port=port, workers=2))
+            try:
+                with pytest.raises(ServiceError, match=f"cannot bind service on .*:{port}"):
+                    supervisor.start()
+            finally:
+                supervisor.terminate()  # reaps workers should start() succeed
+        assert supervisor._procs == []
+
+
 class TestWorkerCountIdentity:
     def test_results_byte_identical_at_1_2_4_workers_and_drain_exits_0(
         self, tmp_path

@@ -1,11 +1,11 @@
 """Fuzz the JSON loaders: malformed input must fail typed, never crash.
 
-Every external JSON surface — trained-model files, alert-rule files,
-benchmark result envelopes, trajectory documents — is fed seeded-random
-mutations and junk documents.  The contract under test: loaders either
-succeed (a mutation can be benign) or raise the documented
-:class:`~repro.errors.ReproError` subclass; a ``KeyError``, ``TypeError``,
-``IndexError`` or ``AttributeError`` escaping a loader is a bug.
+Every external JSON surface — trained-model files and alert-rule
+files — is fed seeded-random mutations and junk documents.  The
+contract under test: loaders either succeed (a mutation can be benign)
+or raise the documented :class:`~repro.errors.ReproError` subclass; a
+``KeyError``, ``TypeError``, ``IndexError`` or ``AttributeError``
+escaping a loader is a bug.
 """
 
 from __future__ import annotations
@@ -14,18 +14,12 @@ import copy
 import json
 import pathlib
 import random
-import sys
 
 import pytest
 
 from repro.core.classifier import DrBwClassifier, validate_model_dict
-from repro.errors import ModelError, MonitorError, ReproError, SchemaError
+from repro.errors import ModelError, MonitorError, ReproError
 from repro.monitor.alerts import parse_alert_rules
-
-sys.path.insert(0, str(pathlib.Path(__file__).parent.parent / "benchmarks"))
-
-import bench_all  # noqa: E402
-from _util import RESULT_SCHEMA, load_result  # noqa: E402
 
 GOLDEN_MODEL = json.loads(
     (pathlib.Path(__file__).parent / "golden" / "classifier_tree.json").read_text()
@@ -155,27 +149,7 @@ def test_cli_rules_loader_failures_are_monitor_errors(tmp_path):
         _load_rules(str(not_a_list))
 
 
-def test_bench_result_loader_failures_are_schema_errors(tmp_path):
-    assert load_result(tmp_path, "absent") is None
-    for i, text in enumerate((
-        "{truncated",
-        json.dumps(["a", "list"]),
-        json.dumps({"schema": "other-schema", "data": {}}),
-        json.dumps({"schema": RESULT_SCHEMA}),  # no data payload
-    )):
-        (tmp_path / f"case{i}.json").write_text(text)
-        with pytest.raises(SchemaError):
-            load_result(tmp_path, f"case{i}")
-
-
-def test_validate_trajectory_is_total_over_arbitrary_json():
-    rng = random.Random(0x7247)
-    for doc in (*JUNK_VALUES, *(random_json(rng) for _ in range(200))):
-        errors = bench_all.validate_trajectory(doc)
-        assert isinstance(errors, list) and errors
-
-
 def test_all_loader_errors_are_repro_errors():
     """The CLI catches ReproError; every loader error must be one."""
-    for exc_type in (ModelError, MonitorError, SchemaError):
+    for exc_type in (ModelError, MonitorError):
         assert issubclass(exc_type, ReproError)
