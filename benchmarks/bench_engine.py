@@ -7,13 +7,12 @@ PR 10 retired that reference kernel, so this benchmark now measures the
 columnar path alone on the Table VII workload set: ``machine.run``
 through a finished :class:`~repro.pmu.sample.RawSampleBatch`, min-of-3.
 
-Two claims are checked, not hoped:
-
-* **byte determinism** — each benchmark's batch must be byte-identical
-  across repetitions (the oracle's surviving in-bench guard; cross-commit
-  stability is pinned by the interval goldens);
-* **>= 3x** — columnar hot-path samples/s must be at least three times
-  the PR8 baseline (``PR8_BASELINE_SAMPLES_PER_SEC``, the published value).
+One claim is checked, not hoped: **byte determinism** — each
+benchmark's batch must be byte-identical across repetitions (the
+oracle's surviving in-bench guard; cross-commit stability is pinned by
+the interval goldens).  Samples/s is reported, not gated: a throughput
+floor compares with a number from another host, so speed is judged by
+perfbench's same-host parent/change comparison instead.
 """
 
 from __future__ import annotations
@@ -31,11 +30,6 @@ from repro.workloads.suites.registry import BENCHMARKS
 
 ENGINE_CONFIG = RunConfig(64, 4)
 REPETITIONS = 3
-#: Acceptance bar carried over from ISSUE 9: columnar hot-path throughput
-#: must be at least this multiple of the PR8 baseline.
-SPEEDUP_FLOOR = 3.0
-#: Hot-path samples/s published for PR 8, before the columnar rebuild.
-PR8_BASELINE_SAMPLES_PER_SEC = 430_774.5
 
 
 def _batch_bytes(batch) -> tuple[bytes, ...]:
@@ -88,8 +82,6 @@ def test_engine_hot_path(benchmark, results_dir):
     total = sum(best.values())
     total_samples = sum(samples.values())
     samples_per_sec = total_samples / total if total else 0.0
-    baseline = PR8_BASELINE_SAMPLES_PER_SEC
-    vs_baseline = samples_per_sec / baseline
 
     lines = [
         "columnar engine hot path (run + sample), "
@@ -99,24 +91,14 @@ def test_engine_hot_path(benchmark, results_dir):
     for name, _ in TABLE7_BENCHMARKS:
         lines.append(f"{name:<15}{best[name]:>10.3f}{samples[name]:>12,}")
     lines.append(f"{'aggregate':<15}{total:>10.3f}{total_samples:>12,}")
-    lines.append(
-        f"({samples_per_sec:,.0f} samples/s, "
-        f"{vs_baseline:.2f}x the PR8 baseline {baseline:,.1f})"
-    )
+    lines.append(f"({samples_per_sec:,.0f} samples/s)")
     save_and_print(
         results_dir, "engine_hot_path", "\n".join(lines),
         data={
             "samples_per_sec": samples_per_sec,
-            "pr8_baseline_samples_per_sec": baseline,
-            "speedup_vs_pr8_baseline": vs_baseline,
             "byte_identical": True,  # repetition determinism asserted above
             "columnar_seconds": best,
             "samples": samples,
             "repetitions": REPETITIONS,
         },
-    )
-    # The acceptance bar carried over from ISSUE 9.
-    assert samples_per_sec >= SPEEDUP_FLOOR * baseline, (
-        f"columnar hot path at {samples_per_sec:,.0f} samples/s is below "
-        f"{SPEEDUP_FLOOR}x the PR8 baseline ({baseline:,.1f})"
     )

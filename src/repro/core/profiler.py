@@ -186,8 +186,13 @@ class DrBwProfiler:
         n_threads: int,
         n_nodes: int,
         seed: int | None = None,
+        compiled: CompiledWorkload | None = None,
     ) -> ProfileResult:
-        """Execute ``workload`` with sampling on; return attributed samples."""
+        """Execute ``workload`` with sampling on; return attributed samples.
+
+        ``compiled`` reuses the workload's compiled binding (see
+        :func:`~repro.workloads.runner.run_workload`).
+        """
         tel = get_telemetry()
         with tel.span(
             "profiler.profile",
@@ -201,6 +206,7 @@ class DrBwProfiler:
                 n_threads=n_threads,
                 n_nodes=n_nodes,
                 extra_stall_cycles_per_access=self.config.stall_per_access,
+                compiled=compiled,
             )
             sampler_cfg = self.config.sampler
             if seed is not None:

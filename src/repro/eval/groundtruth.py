@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from repro.numasim.machine import Machine
 from repro.osl.pages import Interleave
 from repro.types import Mode
-from repro.workloads.base import Workload
+from repro.workloads.base import CompiledWorkload, Workload
 from repro.workloads.runner import run_workload
 
 __all__ = ["ORACLE_THRESHOLD", "OracleVerdict", "interleave_oracle", "interleave_everything"]
@@ -55,9 +55,14 @@ def interleave_oracle(
     machine: Machine,
     n_threads: int,
     n_nodes: int,
+    compiled: CompiledWorkload | None = None,
 ) -> OracleVerdict:
-    """Run original vs fully-interleaved and compare execution time."""
-    original = run_workload(workload, machine, n_threads, n_nodes)
+    """Run original vs fully-interleaved and compare execution time.
+
+    ``compiled`` is the original workload's compiled binding, when the
+    caller runs it again (see :func:`~repro.workloads.runner.run_workload`).
+    """
+    original = run_workload(workload, machine, n_threads, n_nodes, compiled=compiled)
     interleaved = run_workload(
         interleave_everything(workload), machine, n_threads, n_nodes
     )

@@ -10,7 +10,7 @@ phase) the system is stationary, so the engine:
 2. derives the DRAM traffic flows each thread pushes onto memory
    controllers and interconnect channels;
 3. solves the demand-bounded max-min fair allocation
-   (:func:`repro.numasim.fairness.solve_max_min`) to obtain per-resource
+   (:func:`repro.numasim.fairness.water_fill`) to obtain per-resource
    utilizations;
 4. inflates access latencies with the queueing model and re-derives issue
    rates, iterating the rate/utilization fixed point with damping;
@@ -25,17 +25,21 @@ the threads crossing it, which is precisely what DR-BW's features observe.
 The solver/recorder is the columnar kernel: each stationary span is laid
 out as parallel numpy columns (one row per (thread, stream, level, dst)
 combination) and the fixed point is evaluated with vectorized latency
-math.  Its bit-exact behaviour is pinned by the interval goldens and
-hypothesis property tests in ``tests/engine/`` — the scalar reference
-kernel that once served as the differential oracle was retired once the
-columnar path's throughput was recorded (see docs/performance.md).
+math.  SPMD threads are mostly symmetric, so the fixed point runs over
+*thread classes* — threads whose every rate-relevant resolved input is
+equal get bit-identical rates — and over flow groups, the flows of a
+class folded by traffic and resources; the class rates are expanded back
+to threads for recording.  Its bit-exact behaviour is pinned by the
+interval goldens, the per-thread differential oracle in
+``tests/engine/test_class_solve.py`` and the determinism sweep in
+``tests/engine/`` (see docs/performance.md).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +50,7 @@ from repro.numasim.cachemodel import (
     PatternKind,
     StreamProfile,
 )
-from repro.numasim.fairness import build_membership, water_fill
+from repro.numasim.fairness import FlowGroups, water_fill
 from repro.numasim.interconnect import InterconnectFabric
 from repro.numasim.latency import LatencyModel, LatencyTable, queueing_delay_factor
 from repro.numasim.memctrl import DEFAULT_HISTORY_LIMIT, MemoryControllerSet
@@ -370,55 +374,70 @@ class _ThreadState:
 
 @dataclass
 class _StreamCtx:
-    """Per-interval resolved state of one (thread, stream) pair."""
+    """Resolved state of one stream of a thread class."""
 
-    state: _ThreadState
     stream: EngineStream
     src_node: int
     fractions: dict[MemLevel, float]
     dram_bytes_per_access: float
     mlp: float
-    traffic_coeff: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    flow_ids: dict[int, int] = field(default_factory=dict)  # dst node -> flow idx
+
+
+@dataclass
+class _ClassCtx:
+    """Resolved state of one thread class, read from its first thread."""
+
+    compute_cycles_per_access: float
+    streams: list[_StreamCtx]
 
 
 class _SpanFlows:
-    """DRAM/link flow table of one stationary span (shared by both kernels)."""
+    """DRAM/link flow table of one stationary span.
+
+    Per-flow columns (one flow per (thread, stream, dst) with traffic, in
+    canonical thread order) feed the recorders; the fixed point arbitrates
+    ``groups``, the flows folded by (thread class, traffic coefficient,
+    resources).  A class's groups are contiguous, starting at
+    ``group_starts`` for the classes ``group_first``.
+    """
 
     __slots__ = (
-        "usage", "capacities", "ch_index", "n_links",
+        "capacities", "n_links",
         "flow_thread", "flow_coeff", "flow_dst", "flow_chan", "n_flows",
-        # fixed-point accelerators: prebuilt fairness membership matrix and
-        # the contiguous per-thread flow-group boundaries
-        "member", "flow_starts", "flow_first",
+        "groups", "group_class", "group_coeff", "group_starts", "group_first",
     )
 
 
 class _SpanLayout:
     """Columnar row layout of one stationary span.
 
-    One row per (thread, stream, level, dst) combination, in the fixed
-    canonical visit order (threads, then streams, then ``fractions``
-    insertion order, then ascending remote dst) the goldens are pinned to.  ``prog``
-    is the per-thread rate program evaluated by ``_rates_at``: a list of
+    The fixed point prices *class rows*: one per (class, stream, level,
+    dst) combination of each class's streams.  ``prog`` is the per-class
+    rate program evaluated by ``_rates_at``: a list of
     ``(compute_cycles_per_access, streams)`` where each stream entry is
     ``(weight, mlp, terms)`` and each term ``(frac, row_idx, sub)`` —
     ``sub`` is ``None`` for a direct level or a list of
-    ``(nf_share, row_idx)`` pairs averaging remote targets.
-
-    Latency rows split into constant (cache) and DRAM groups; the DRAM
-    group carries the precomputed pipe/queue decomposition from
+    ``(nf_share, row_idx)`` pairs averaging remote targets.  Latency rows
+    split into constant (cache) and DRAM groups; the DRAM group carries
+    the precomputed pipe/queue decomposition from
     :class:`~repro.numasim.latency.LatencyTable` so one vectorized
-    expression prices every row per fixed-point iteration.
+    expression prices every class row per fixed-point iteration.
+
+    The recorders read *thread rows*: one per (thread, stream, level, dst)
+    combination, in the fixed canonical visit order (threads, then
+    streams, then ``fractions`` insertion order, then ascending remote
+    dst) the goldens are pinned to.  A thread's rows repeat its class's
+    rows (``row_template`` maps each thread row to its class row) with
+    the thread's own identity columns.
     """
 
     __slots__ = (
         "prog",
-        # latency evaluation
+        # class-row latency evaluation
         "row_lat0", "dram_idx", "dram_pipe", "dram_mcpart", "dram_node",
         "rem_pos", "rem_linkpart", "rem_link", "rand_pos",
-        # bucket/rate emission
-        "row_thread", "w", "f", "m1", "d1",
+        # thread-row bucket/rate emission
+        "row_template", "row_thread", "w", "f", "m1", "d1",
         "key_prefix", "bucket_ok", "all_ok",
         "tid", "cpu", "src", "obj", "rbase", "rbytes", "lvl", "dst",
         "n_rows",
@@ -428,7 +447,23 @@ class _SpanLayout:
 class _SpanPlan:
     """Solved state of one stationary span under the columnar kernel."""
 
-    __slots__ = ("rates", "layout", "flows", "final_latency")
+    __slots__ = ("rates", "n_classes", "layout", "flows", "final_latency")
+
+
+def _repeat_class_rows(
+    class_start: list[int], n_class_rows: int, thread_class: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand per-class rows to per-thread rows, threads in order.
+
+    Class ``c`` owns rows ``class_start[c]`` up to the next class's start
+    (or ``n_class_rows``).  Returns, for each thread row, the class row it
+    repeats, and the number of rows of each thread.
+    """
+    tc = np.array(thread_class, dtype=np.int64)
+    bounds = np.array(class_start + [n_class_rows], dtype=np.int64)
+    per_thread = (bounds[1:] - bounds[:-1])[tc]
+    first = np.cumsum(per_thread) - per_thread  # each thread's first row
+    return np.arange(int(per_thread.sum())) + np.repeat(bounds[tc] - first, per_thread), per_thread
 
 
 class ExecutionEngine:
@@ -505,7 +540,7 @@ class ExecutionEngine:
         """
         tel = get_telemetry()
         with tel.span("engine.run", n_threads=len(programs)) as sp:
-            result = self._run(
+            result, (n_spans, n_threads, n_classes) = self._run(
                 programs,
                 extra_stall_cycles_per_access,
                 interval_listener=interval_listener,
@@ -519,6 +554,11 @@ class ExecutionEngine:
                 )
                 tel.metrics.counter("engine.runs").inc()
                 tel.metrics.counter("engine.intervals").inc(n_intervals)
+                # Solved spans, the threads they ran and the symmetry
+                # classes the solver priced in their place.
+                tel.metrics.counter("engine.spans").inc(n_spans)
+                tel.metrics.counter("engine.span_threads").inc(n_threads)
+                tel.metrics.counter("engine.span_classes").inc(n_classes)
                 logger.debug(
                     "engine run: %d threads, %d intervals, %.0f cycles",
                     len(programs), n_intervals, result.total_cycles,
@@ -531,7 +571,9 @@ class ExecutionEngine:
         extra_stall_cycles_per_access: float,
         interval_listener=None,
         interval_max_cycles: float | None = None,
-    ) -> RunResult:
+    ) -> tuple[RunResult, tuple[int, int, int]]:
+        """Execute ``programs``; also return the (spans, span threads,
+        span classes) solve counts."""
         if interval_max_cycles is not None and interval_max_cycles <= 0:
             raise SimulationError(
                 f"interval_max_cycles must be positive, got {interval_max_cycles}"
@@ -561,6 +603,7 @@ class ExecutionEngine:
         guard = 0
         max_events = sum(len(p.phases) for p in programs) * 4 + 64
         interval_index = 0
+        span_threads = span_classes = 0
 
         while True:
             runnable = self._runnable(states)
@@ -571,6 +614,8 @@ class ExecutionEngine:
 
             plan = self._solve_span_columnar(runnable, extra_stall_cycles_per_access)
             rates = plan.rates
+            span_threads += len(runnable)
+            span_classes += plan.n_classes
 
             # Time to the next phase completion among runnable threads.
             dts = [
@@ -610,7 +655,7 @@ class ExecutionEngine:
             if guard > max_events:
                 raise SimulationError("engine exceeded its event budget")
 
-        return RunResult(
+        result = RunResult(
             topology=self.topology,
             total_cycles=now,
             thread_finish_cycles={st.program.thread_id: st.finish_cycle for st in states},
@@ -620,6 +665,7 @@ class ExecutionEngine:
             interconnect=fabric,
             extra_stall_cycles=extra_stall_cycles_per_access,
         )
+        return result, (guard, span_threads, span_classes)
 
     # -- scheduling -------------------------------------------------------------
 
@@ -645,8 +691,26 @@ class ExecutionEngine:
 
     # -- shared span setup (both kernels) --------------------------------------
 
-    def _build_ctxs(self, runnable: list[_ThreadState]) -> list[list[_StreamCtx]]:
-        """Resolve per-(thread, stream) cache splits and DRAM fractions."""
+    def _build_ctxs(
+        self, runnable: list[_ThreadState]
+    ) -> tuple[list[_ClassCtx], list[int]]:
+        """Resolve cache splits and DRAM fractions once per thread class.
+
+        Two threads share a class when every value the rate program and
+        the flow table read for them is equal: the phase's compute cost,
+        the source node and, per stream in order, the profile, weight,
+        page placement, sharing, localized level fractions, DRAM bytes per
+        access and MLP.  Keying on the resolved values (cache shares
+        included) makes the key complete by construction, so the threads
+        of a class get the same rates bit for bit and the solver prices
+        one of them.  Resolution is a pure function of the compute cost,
+        the source node, the core and socket load and the streams'
+        (profile, weight, placement, sharing), so a thread whose inputs
+        equal an earlier thread's takes that thread's class unresolved.
+
+        Returns each class's resolved state, read from its first thread
+        and in order of first appearance, and each thread's class.
+        """
         topo = self.topology
 
         # Cache sharing: private L1/L2 split between active SMT siblings,
@@ -660,12 +724,26 @@ class ExecutionEngine:
             socket_load[node] = socket_load.get(node, 0) + 1
 
         lf_cache = self._lf_cache
-        ctxs: list[list[_StreamCtx]] = []
+        class_ctxs: list[_ClassCtx] = []
+        classes: dict[tuple, int] = {}  # resolved values -> class
+        resolved: dict[tuple, int] = {}  # resolution inputs -> class
+        thread_class: list[int] = []
         for st in runnable:
             phase = st.current_phase()
             assert phase is not None
             core = topo.core_of_cpu(st.program.cpu)
             node = topo.node_of_cpu(st.program.cpu)
+            inputs = (
+                phase.compute_cycles_per_access, node, core_load[core], socket_load[node],
+                *[
+                    (s.profile, s.weight, s.node_fractions.tobytes(), s.shared)
+                    for s in phase.streams
+                ],
+            )
+            cls = resolved.get(inputs)
+            if cls is not None:
+                thread_class.append(cls)
+                continue
             caches = EffectiveCaches(
                 l1_bytes=topo.l1.size_bytes / core_load[core],
                 l2_bytes=topo.l2.size_bytes / core_load[core],
@@ -679,6 +757,7 @@ class ExecutionEngine:
                 s.profile.working_set_bytes for s in phase.streams if not s.shared
             )
             per_thread: list[_StreamCtx] = []
+            key: list = [phase.compute_cycles_per_access, node]
             for stream in phase.streams:
                 if stream.shared:
                     stream_caches = EffectiveCaches(
@@ -710,9 +789,13 @@ class ExecutionEngine:
                     lf = self.cache_model.level_fractions(stream.profile, stream_caches)
                     lf_cache[lf_key] = lf
                 fr = self._localize(lf.fractions, stream.node_fractions, node)
+                key.append((
+                    stream.profile, stream.weight, stream.node_fractions.tobytes(),
+                    stream.shared, tuple(fr.items()), lf.dram_bytes_per_access,
+                    lf.mlp,
+                ))
                 per_thread.append(
                     _StreamCtx(
-                        state=st,
                         stream=stream,
                         src_node=node,
                         fractions=fr,
@@ -720,65 +803,79 @@ class ExecutionEngine:
                         mlp=lf.mlp,
                     )
                 )
-            ctxs.append(per_thread)
-        return ctxs
+            cls = classes.setdefault(tuple(key), len(classes))
+            if cls == len(class_ctxs):
+                class_ctxs.append(_ClassCtx(phase.compute_cycles_per_access, per_thread))
+            resolved[inputs] = cls
+            thread_class.append(cls)
+        return class_ctxs, thread_class
 
-    def _build_flows(self, ctxs: list[list[_StreamCtx]]) -> "_SpanFlows":
-        """Flow table: one flow per (thread, stream, dst node) with traffic."""
+    def _build_flows(
+        self, class_ctxs: list[_ClassCtx], thread_class: list[int]
+    ) -> _SpanFlows:
+        """Flow table: one flow per (thread, stream, dst node) with traffic.
+
+        The threads of a class emit the same flows, so each class's flows
+        are resolved once and repeated in thread order.  They fold into
+        groups keyed by (class, traffic coefficient, dst, channel) — the
+        channel fixes the resources — whose multiplicity counts the flows
+        they stand for.
+        """
         topo = self.topology
         n_nodes = topo.n_sockets
         ch_index = self._fabric_ch_index
-        n_links = self._fabric_n_links
         capacities = self._fabric_capacities
 
-        usage: list[tuple[int, ...]] = []
-        threads: list[int] = []
-        coeffs_flat: list[float] = []
+        # Class flows, class by class: the flows of each class's first thread.
+        class_start: list[int] = []
+        coeffs: list[float] = []
         dsts: list[int] = []
         chans: list[int] = []  # channel index, -1 for node-local flows
-        for t_idx, per_thread in enumerate(ctxs):
-            for ctx in per_thread:
+        gids: list[int] = []
+        group_ids: dict[tuple, int] = {}
+        for cls, cc in enumerate(class_ctxs):
+            class_start.append(len(coeffs))
+            for ctx in cc.streams:
                 nf = ctx.stream.node_fractions
-                coeffs = np.zeros(n_nodes)
                 for dst in range(n_nodes):
                     traffic = ctx.stream.weight * ctx.dram_bytes_per_access * nf[dst]
                     if traffic <= _EPS:
                         continue
-                    res = [dst]
                     chan = -1
                     if dst != ctx.src_node:
                         chan = ch_index[Channel(ctx.src_node, dst)]
-                        res.append(n_nodes + chan)
-                    ctx.flow_ids[dst] = len(usage)
-                    usage.append(tuple(res))
-                    threads.append(t_idx)
-                    coeffs_flat.append(traffic)
+                    coeffs.append(traffic)
                     dsts.append(dst)
                     chans.append(chan)
-                    coeffs[dst] = traffic
-                ctx.traffic_coeff = coeffs
+                    gids.append(group_ids.setdefault((cls, traffic, dst, chan), len(group_ids)))
 
         fl = _SpanFlows()
-        fl.usage = usage
         fl.capacities = capacities
-        fl.ch_index = ch_index
-        fl.n_links = n_links
-        ft = np.array(threads, dtype=np.int64)
-        fl.flow_thread = ft
-        fl.flow_coeff = np.array(coeffs_flat, dtype=np.float64)
-        fl.flow_dst = np.array(dsts, dtype=np.int64)
-        fl.flow_chan = np.array(chans, dtype=np.int64)
-        fl.n_flows = len(usage)
+        fl.n_links = self._fabric_n_links
+        tmpl, per_thread = _repeat_class_rows(class_start, len(coeffs), thread_class)
+        fl.flow_thread = np.repeat(np.arange(len(thread_class)), per_thread)
+        fl.flow_coeff = np.array(coeffs, dtype=np.float64)[tmpl]
+        fl.flow_dst = np.array(dsts, dtype=np.int64)[tmpl]
+        fl.flow_chan = np.array(chans, dtype=np.int64)[tmpl]
+        fl.n_flows = int(tmpl.shape[0])
         if fl.n_flows:
-            fl.member = build_membership(usage, capacities.shape[0])
-            # Flows are emitted grouped by thread index, so per-thread
-            # reductions can use contiguous reduceat segments.
-            starts = np.flatnonzero(np.r_[True, ft[1:] != ft[:-1]])
-            fl.flow_starts = starts
-            fl.flow_first = ft[starts]
+            keys = list(group_ids)
+            gc = np.array([k[0] for k in keys], dtype=np.int64)
+            fl.groups = FlowGroups(
+                usage=[(d,) if c < 0 else (d, n_nodes + c) for _, _, d, c in keys],
+                flow_group=np.array(gids, dtype=np.int64)[tmpl],
+                n_res=capacities.shape[0],
+            )
+            fl.group_class = gc
+            fl.group_coeff = np.array([k[1] for k in keys], dtype=np.float64)
+            # Groups are created class by class, so per-class reductions
+            # can use contiguous reduceat segments.
+            starts = np.flatnonzero(np.r_[True, gc[1:] != gc[:-1]])
+            fl.group_starts = starts
+            fl.group_first = gc[starts]
         else:
-            fl.member = None
-            fl.flow_starts = fl.flow_first = None
+            fl.groups = fl.group_class = fl.group_coeff = None
+            fl.group_starts = fl.group_first = None
         return fl
 
     def _localize(
@@ -800,14 +897,16 @@ class ExecutionEngine:
     def _build_layout(
         self,
         runnable: list[_ThreadState],
-        ctxs: list[list[_StreamCtx]],
+        class_ctxs: list[_ClassCtx],
+        thread_class: list[int],
     ) -> _SpanLayout:
-        """Lay the span out as parallel columns, one row per bucket source.
+        """Lay the span out as class rows to price and thread rows to record.
 
-        Row order follows the canonical visit order the goldens are pinned
-        to, so every downstream accumulation (``np.add.at``, bucket dict
-        updates) sees operands in the same sequence and produces the same
-        bits run after run.
+        Thread rows follow the canonical visit order the goldens are
+        pinned to, so every downstream accumulation (``np.add.at``, bucket
+        dict updates) sees operands in the same sequence and produces the
+        same bits run after run.  A class's threads have equal streams in
+        equal order, so their rows are the class's rows in the same order.
         """
         tab = self.latency_table
         n_nodes = self.topology.n_sockets
@@ -828,6 +927,7 @@ class ExecutionEngine:
         f_col: list[float] = []
         m1_col: list[float] = []
         d1_col: list[float] = []
+        w_col: list[float] = []
         lat0: list[float] = []
         dram_idx: list[int] = []
         dram_pipe: list[float] = []
@@ -837,38 +937,22 @@ class ExecutionEngine:
         rem_linkpart: list[float] = []
         rem_link: list[int] = []
         rand_pos: list[int] = []
-        key_prefix: list[tuple] = []
         bucket_ok: list[bool] = []
         lvl_c: list[int] = []
         dst_c: list[int] = []
-        # Columns constant within one (thread, stream) context are recorded
-        # once per context and expanded with np.repeat at the end — rows of
-        # a context are contiguous in the canonical visit order.
+        src_c: list[int] = []
+        stream_c: list[int] = []  # index of the row's stream in its phase
+        class_start: list[int] = []
         nrow = 0
-        ctx_rows: list[int] = []
-        ctx_tidx: list[int] = []
-        ctx_w: list[float] = []
-        ctx_tid: list[int] = []
-        ctx_cpu: list[int] = []
-        ctx_src: list[int] = []
-        ctx_obj: list[int] = []
-        ctx_rbase: list[int] = []
-        ctx_rbytes: list[int] = []
 
-        for t_idx, (st, per_thread) in enumerate(zip(runnable, ctxs)):
-            phase = st.current_phase()
-            assert phase is not None
-            tid = st.program.thread_id
-            cpu = st.program.cpu
+        for cc in class_ctxs:
+            class_start.append(nrow)
             stream_entries: list[tuple[float, float, list]] = []
-            for ctx in per_thread:
+            for s_idx, ctx in enumerate(cc.streams):
                 stream = ctx.stream
                 src = ctx.src_node
                 nf = stream.node_fractions
                 is_random = stream.profile.kind is random_kind
-                obj = stream.object_id
-                rbase = stream.region_base
-                rbytes = stream.region_bytes
                 ctx_start = nrow
                 terms: list[tuple[float, int, list | None]] = []
                 for lvl, frac in ctx.fractions.items():
@@ -898,9 +982,6 @@ class ExecutionEngine:
                                 rand_pos.append(len(dram_idx))
                             dram_idx.append(ridx)
                             bucket_ok.append(dst < n_nodes)
-                            key_prefix.append(
-                                (tid, cpu, src, obj, rbase, rbytes, remote_int, dst)
-                            )
                             lvl_c.append(remote_int)
                             dst_c.append(dst)
                         terms.append((frac, -1, sub))
@@ -924,31 +1005,17 @@ class ExecutionEngine:
                             lvl_int = int(lvl)
                         terms.append((frac, ridx, None))
                         bucket_ok.append(True)
-                        key_prefix.append(
-                            (tid, cpu, src, obj, rbase, rbytes, lvl_int, src)
-                        )
                         lvl_c.append(lvl_int)
                         dst_c.append(src)
-                ctx_rows.append(nrow - ctx_start)
-                ctx_tidx.append(t_idx)
-                ctx_w.append(stream.weight)
-                ctx_tid.append(tid)
-                ctx_cpu.append(cpu)
-                ctx_src.append(src)
-                ctx_obj.append(obj)
-                ctx_rbase.append(rbase)
-                ctx_rbytes.append(rbytes)
+                n_ctx_rows = nrow - ctx_start
+                w_col.extend([stream.weight] * n_ctx_rows)
+                src_c.extend([src] * n_ctx_rows)
+                stream_c.extend([s_idx] * n_ctx_rows)
                 stream_entries.append((stream.weight, ctx.mlp, terms))
-            prog.append((phase.compute_cycles_per_access, stream_entries))
+            prog.append((cc.compute_cycles_per_access, stream_entries))
 
         lay = _SpanLayout()
         lay.prog = prog
-        reps = np.array(ctx_rows, dtype=np.int64)
-        lay.row_thread = np.repeat(np.array(ctx_tidx, dtype=np.int64), reps)
-        lay.w = np.repeat(np.array(ctx_w, dtype=np.float64), reps)
-        lay.f = np.array(f_col, dtype=np.float64)
-        lay.m1 = np.array(m1_col, dtype=np.float64)
-        lay.d1 = np.array(d1_col, dtype=np.float64)
         lay.row_lat0 = np.array(lat0, dtype=np.float64)
         lay.dram_idx = np.array(dram_idx, dtype=np.int64)
         lay.dram_pipe = np.array(dram_pipe, dtype=np.float64)
@@ -958,18 +1025,50 @@ class ExecutionEngine:
         lay.rem_linkpart = np.array(rem_linkpart, dtype=np.float64)
         lay.rem_link = np.array(rem_link, dtype=np.int64)
         lay.rand_pos = np.array(rand_pos, dtype=np.int64)
-        lay.key_prefix = key_prefix
-        lay.bucket_ok = bucket_ok
-        lay.all_ok = all(bucket_ok)
-        lay.tid = np.repeat(np.array(ctx_tid, dtype=np.int64), reps)
-        lay.cpu = np.repeat(np.array(ctx_cpu, dtype=np.int64), reps)
-        lay.src = np.repeat(np.array(ctx_src, dtype=np.int64), reps)
-        lay.obj = np.repeat(np.array(ctx_obj, dtype=np.int64), reps)
-        lay.rbase = np.repeat(np.array(ctx_rbase, dtype=np.int64), reps)
-        lay.rbytes = np.repeat(np.array(ctx_rbytes, dtype=np.int64), reps)
-        lay.lvl = np.array(lvl_c, dtype=np.int64)
-        lay.dst = np.array(dst_c, dtype=np.int64)
-        lay.n_rows = nrow
+
+        # Thread rows: each thread repeats its class's rows.
+        tmpl, per_thread = _repeat_class_rows(class_start, nrow, thread_class)
+        lay.row_template = tmpl
+        lay.row_thread = np.repeat(np.arange(len(runnable)), per_thread)
+        lay.w = np.array(w_col, dtype=np.float64)[tmpl]
+        lay.f = np.array(f_col, dtype=np.float64)[tmpl]
+        lay.m1 = np.array(m1_col, dtype=np.float64)[tmpl]
+        lay.d1 = np.array(d1_col, dtype=np.float64)[tmpl]
+        ok = np.array(bucket_ok, dtype=bool)
+        lay.all_ok = bool(ok.all())
+        lay.bucket_ok = ok[tmpl].tolist()
+        lay.lvl = np.array(lvl_c, dtype=np.int64)[tmpl]
+        lay.dst = np.array(dst_c, dtype=np.int64)[tmpl]
+        lay.src = np.array(src_c, dtype=np.int64)[tmpl]
+
+        # Identity columns come from each thread's own streams.
+        tids: list[int] = []
+        cpus: list[int] = []
+        stream_first: list[int] = []
+        objs: list[int] = []
+        rbases: list[int] = []
+        rbytes: list[int] = []
+        for st in runnable:
+            tids.append(st.program.thread_id)
+            cpus.append(st.program.cpu)
+            stream_first.append(len(objs))
+            for s in st.current_phase().streams:
+                objs.append(s.object_id)
+                rbases.append(s.region_base)
+                rbytes.append(s.region_bytes)
+        sidx = np.repeat(np.array(stream_first, dtype=np.int64), per_thread) + np.array(
+            stream_c, dtype=np.int64
+        )[tmpl]
+        lay.tid = np.repeat(np.array(tids, dtype=np.int64), per_thread)
+        lay.cpu = np.repeat(np.array(cpus, dtype=np.int64), per_thread)
+        lay.obj = np.array(objs, dtype=np.int64)[sidx]
+        lay.rbase = np.array(rbases, dtype=np.int64)[sidx]
+        lay.rbytes = np.array(rbytes, dtype=np.int64)[sidx]
+        lay.key_prefix = list(zip(
+            lay.tid.tolist(), lay.cpu.tolist(), lay.src.tolist(), lay.obj.tolist(),
+            lay.rbase.tolist(), lay.rbytes.tolist(), lay.lvl.tolist(), lay.dst.tolist(),
+        ))
+        lay.n_rows = int(tmpl.shape[0])
         return lay
 
     def _row_latencies(
@@ -978,7 +1077,7 @@ class ExecutionEngine:
         mc_rho: np.ndarray,
         link_rho: np.ndarray,
     ) -> np.ndarray:
-        """Median latency of every layout row under the given utilizations.
+        """Median latency of every class row under the given utilizations.
 
         Bit-identical to per-row ``LatencyModel.effective_latency`` calls:
         clip/divide/add/multiply are elementwise, so vectorizing them
@@ -1005,9 +1104,9 @@ class ExecutionEngine:
         link_rho: np.ndarray,
         extra_stall: float,
     ) -> list[float]:
-        """Per-thread issue rates at the given utilizations (columnar).
+        """Per-class issue rates at the given utilizations (columnar).
 
-        Evaluates the same arithmetic as ``_thread_rate``, reading row
+        Evaluates each class's rate program, reading row
         latencies from one vectorized pricing pass; the reductions stay in
         scalar Python because numpy's pairwise summation would change the
         accumulation order (and therefore the bits).
@@ -1038,12 +1137,19 @@ class ExecutionEngine:
         runnable: list[_ThreadState],
         extra_stall: float,
     ) -> _SpanPlan:
-        """Columnar twin of ``_solve_interval``: same fixed point, same bits."""
+        """Solve one span's rate/utilization fixed point over thread classes.
+
+        Every step is elementwise per class or per flow group, the group
+        water-fill is bitwise the per-flow one, and a class's rate is its
+        threads' rate, so expanding the class rates gives the per-thread
+        fixed point bit for bit.
+        """
         n_nodes = self.topology.n_sockets
-        ctxs = self._build_ctxs(runnable)
-        fl = self._build_flows(ctxs)
-        lay = self._build_layout(runnable, ctxs)
+        class_ctxs, thread_class = self._build_ctxs(runnable)
+        fl = self._build_flows(class_ctxs, thread_class)
+        lay = self._build_layout(runnable, class_ctxs, thread_class)
         n_links = fl.n_links
+        n_classes = len(lay.prog)
 
         rates = np.array(
             self._rates_at(lay, np.zeros(n_nodes), np.zeros(n_links), extra_stall)
@@ -1053,17 +1159,17 @@ class ExecutionEngine:
 
         for _ in range(_RATE_ITERATIONS):
             if fl.n_flows:
-                demands = rates[fl.flow_thread] * fl.flow_coeff
-                sol = water_fill(demands, fl.member, fl.capacities)
+                demands = rates[fl.group_class] * fl.group_coeff
+                sol = water_fill(demands, fl.groups, fl.capacities)
                 mc_rho = sol.utilization[:n_nodes]
                 link_rho = sol.utilization[n_nodes:]
                 throttle = sol.throttle(demands)
-                # A thread advances no faster than its most-throttled flow.
-                # min is exact, so grouped reduceat over the contiguous
-                # per-thread flow segments matches np.minimum.at bitwise.
-                cap = np.full(len(ctxs), np.inf)
-                cap[fl.flow_first] = np.minimum.reduceat(
-                    np.where(throttle > 0, throttle, _EPS), fl.flow_starts
+                # A thread advances no faster than its most-throttled flow;
+                # min is exact, so the per-class reduction over the class's
+                # contiguous groups equals the per-thread one over its flows.
+                cap = np.full(n_classes, np.inf)
+                cap[fl.group_first] = np.minimum.reduceat(
+                    np.where(throttle > 0, throttle, _EPS), fl.group_starts
                 )
                 rate_cap = rates * np.where(np.isfinite(cap), cap, 1.0)
             else:
@@ -1079,10 +1185,11 @@ class ExecutionEngine:
             rates = _RATE_DAMPING * rates + (1.0 - _RATE_DAMPING) * new_rates
 
         plan = _SpanPlan()
-        plan.rates = [float(r) for r in rates]
+        plan.rates = rates[thread_class].tolist()
+        plan.n_classes = n_classes
         plan.layout = lay
         plan.flows = fl
-        plan.final_latency = self._row_latencies(lay, mc_rho, link_rho)
+        plan.final_latency = self._row_latencies(lay, mc_rho, link_rho)[lay.row_template]
         return plan
 
     def _record_span_columnar(

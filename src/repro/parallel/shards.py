@@ -289,6 +289,7 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
     if spec.get("kind") != PROFILE_SHARD_KIND:
         raise ParallelError(f"unsupported shard kind {spec.get('kind')!r}")
     from repro.core.profiler import DrBwProfiler
+    from repro.workloads.runner import compile_bound
 
     machine = _build_machine(spec.get("machine"))
     profiler = DrBwProfiler(machine, _build_profiler_config(spec.get("profiler"), seed))
@@ -296,6 +297,10 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
     t, n = int(spec["n_threads"]), int(spec["n_nodes"])
 
     payload: dict[str, Any] = {}
+    # The oracle's original run and the profile run share one compile.
+    compiled = None
+    if spec.get("oracle") and spec.get("features", True):
+        compiled = compile_bound(workload, machine, t, n)
     if spec.get("overhead"):
         plain, profiled, _ = profiler.measure_overhead(workload, t, n)
         payload["overhead"] = {
@@ -305,7 +310,7 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
     if spec.get("oracle"):
         from repro.eval.groundtruth import interleave_oracle
 
-        verdict = interleave_oracle(workload, machine, t, n)
+        verdict = interleave_oracle(workload, machine, t, n, compiled=compiled)
         payload["oracle"] = {
             "original_cycles": float(verdict.original_cycles),
             "interleaved_cycles": float(verdict.interleaved_cycles),
@@ -313,7 +318,7 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
             "mode": verdict.mode.value,
         }
     if spec.get("features", True):
-        profile = profiler.profile(workload, t, n, seed=seed)
+        profile = profiler.profile(workload, t, n, seed=seed, compiled=compiled)
         per_channel = profile.features_per_channel()
         payload["channels"] = [
             [ch.src, ch.dst, fv.values.tolist()]

@@ -122,6 +122,17 @@ class TestRoundTrip:
         ):
             assert needle in text, needle
 
+    def test_engine_span_counters(self, exported):
+        """The artifact explains the engine's solve: spans solved, the
+        threads they ran and the symmetry classes priced in their place
+        (the fixture's 4 threads on 2 nodes form one class per node)."""
+        counters = load_artifact(exported).metrics["counters"]
+        spans = counters["engine.spans"]
+        assert spans == counters["engine.intervals"] >= 1
+        assert counters["engine.span_threads"] >= spans
+        assert spans <= counters["engine.span_classes"] <= 2 * spans
+        assert counters["engine.span_classes"] < counters["engine.span_threads"]
+
     def test_spans_jsonl_round_trips_exactly(self, exported):
         art = load_artifact(exported)
         dumped = [json.loads(json.dumps(s)) for s in art.spans]
