@@ -33,6 +33,7 @@ that makes extraction vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +48,7 @@ __all__ = [
     "SampleSet",
     "channel_sample_counts",
     "extract_channel_features",
+    "remote_channel_codes",
     "candidate_features",
 ]
 
@@ -128,9 +130,16 @@ class SampleSet:
         latency: np.ndarray,
         src_node: np.ndarray,
         dst_node: np.ndarray,
-        object_id: np.ndarray,
+        object_id: np.ndarray | Callable[[np.ndarray], np.ndarray],
     ) -> "SampleSet":
-        """Columnar constructor (the profiler's vectorized path)."""
+        """Columnar constructor (the profiler's vectorized path).
+
+        ``object_id`` is either the per-sample ids or a lookup from the
+        address column to them (the allocator's
+        ``object_ids_of_addresses``), called on the first read of
+        :attr:`object_id` — only the diagnoser reads it, so a profile
+        that is only classified never attributes its samples.
+        """
         obj = cls.__new__(cls)
         obj._init_arrays(
             address=np.asarray(address, dtype=np.int64),
@@ -140,19 +149,37 @@ class SampleSet:
             latency=np.asarray(latency, dtype=np.float64),
             src_node=np.asarray(src_node, dtype=np.int64),
             dst_node=np.asarray(dst_node, dtype=np.int64),
-            object_id=np.asarray(object_id, dtype=np.int64),
+            object_id=(
+                object_id if callable(object_id)
+                else np.asarray(object_id, dtype=np.int64)
+            ),
         )
         return obj
 
-    def _init_arrays(self, **fields: np.ndarray) -> None:
+    def _init_arrays(self, object_id, **fields: np.ndarray) -> None:
         n = fields["address"].shape[0]
         for name, arr in fields.items():
             if arr.shape != (n,):
                 raise ModelError(f"sample field {name} has mismatched length")
             setattr(self, name, arr)
         self.n = n
+        self._object_id = object_id
+        if not callable(object_id):
+            self._check_object_id()
         if n and (np.any(self.src_node < 0) or np.any(self.dst_node < 0)):
             raise ModelError("SampleSet requires attributed samples (src/dst nodes set)")
+
+    def _check_object_id(self) -> None:
+        if self._object_id.shape != (self.n,):
+            raise ModelError("sample field object_id has mismatched length")
+
+    @property
+    def object_id(self) -> np.ndarray:
+        """Heap object id per sample (``-1`` when unattributed)."""
+        if callable(self._object_id):
+            self._object_id = np.asarray(self._object_id(self.address), dtype=np.int64)
+            self._check_object_id()
+        return self._object_id
 
     def to_samples(self) -> list[MemorySample]:
         """Materialize per-record samples (attributed)."""
@@ -191,14 +218,31 @@ class SampleSet:
 
     def remote_channels(self) -> list[Channel]:
         """Distinct remote channels with at least one DRAM sample, sorted."""
-        remote = (self.src_node != self.dst_node) & (
-            (self.level == int(MemLevel.REMOTE_DRAM))
-        )
-        pairs = {
-            (int(s), int(d))
-            for s, d in zip(self.src_node[remote], self.dst_node[remote])
-        }
-        return [Channel(s, d) for s, d in sorted(pairs)]
+        _, codes, k = remote_channel_codes(self.src_node, self.dst_node, self.level)
+        distinct, _ = np.unique(codes, return_counts=True)
+        src, dst = np.divmod(distinct, k)
+        return [Channel(s, d) for s, d in zip(src.tolist(), dst.tolist())]
+
+
+def remote_channel_codes(
+    src_node: np.ndarray, dst_node: np.ndarray, level: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Remote-DRAM samples keyed by channel as one integer per sample.
+
+    Returns ``(remote, codes, k)``: the mask of remote-DRAM samples
+    (``src != dst`` at :attr:`MemLevel.REMOTE_DRAM`), each masked sample's
+    code ``src * k + dst``, and the radix ``k`` (one more than the largest
+    masked ``dst``).  Codes sort in ``(src, dst)`` order, so ``np.unique``
+    over them lists channels as a sort of the pairs would, and
+    ``divmod(code, k)`` gives the pair back.  Callers ask ``np.unique`` for
+    counts even when they drop them: that is its sorting path, which on
+    these arrays beats the hash path numpy takes otherwise (and which
+    imports ``numpy.ma`` on first use, after the service reports ready).
+    """
+    remote = (src_node != dst_node) & (level == int(MemLevel.REMOTE_DRAM))
+    dst = dst_node[remote]
+    k = int(dst.max()) + 1 if dst.size else 1
+    return remote, src_node[remote] * k + dst, k
 
 
 def _mean(values: np.ndarray) -> float:

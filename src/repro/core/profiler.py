@@ -33,7 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.features import FeatureVector, SampleSet, extract_channel_features
+from repro.core.features import (
+    FeatureVector,
+    SampleSet,
+    extract_channel_features,
+    remote_channel_codes,
+)
+from repro.errors import WorkloadError
 from repro.numasim.machine import Machine
 from repro.pmu.sample import MemorySample, RawSampleBatch
 from repro.pmu.sampler import AddressSampler, SamplerConfig
@@ -186,40 +192,61 @@ class DrBwProfiler:
         n_threads: int,
         n_nodes: int,
         seed: int | None = None,
-        compiled: CompiledWorkload | None = None,
+        run: WorkloadRun | None = None,
     ) -> ProfileResult:
         """Execute ``workload`` with sampling on; return attributed samples.
 
-        ``compiled`` reuses the workload's compiled binding (see
-        :func:`~repro.workloads.runner.run_workload`).
+        ``run`` is an earlier profiled run of this same ``workload`` object
+        (a :attr:`ProfileResult.run`).  The simulated execution does not
+        depend on the seed — only the PEBS thinning does — so sampling that
+        run again at ``seed`` gives the same bytes as simulating afresh,
+        without compiling or simulating.  Nothing here modifies the run,
+        so concurrent profiles may share it.  A run of another workload,
+        another ``Tt-Nn`` binding or another profiling stall raises
+        :class:`~repro.errors.WorkloadError`.
         """
         tel = get_telemetry()
+        reused = run is not None
         with tel.span(
             "profiler.profile",
             workload=workload.name,
             n_threads=n_threads,
             n_nodes=n_nodes,
+            reused=reused,
         ) as sp:
-            run = run_workload(
-                workload,
-                self.machine,
-                n_threads=n_threads,
-                n_nodes=n_nodes,
-                extra_stall_cycles_per_access=self.config.stall_per_access,
-                compiled=compiled,
-            )
+            stall = self.config.stall_per_access
+            if run is None:
+                run = run_workload(
+                    workload,
+                    self.machine,
+                    n_threads=n_threads,
+                    n_nodes=n_nodes,
+                    extra_stall_cycles_per_access=stall,
+                )
+            elif (
+                run.compiled.workload is not workload
+                or run.compiled.bindings
+                != bind_threads_tt_nn(self.machine.topology, n_threads, n_nodes)
+                or run.result.extra_stall_cycles != stall
+            ):
+                raise WorkloadError(
+                    f"run of {run.compiled.workload.name!r} at stall "
+                    f"{run.result.extra_stall_cycles} is not {workload.name!r} "
+                    f"bound T{n_threads}-N{n_nodes} at stall {stall}"
+                )
             sampler_cfg = self.config.sampler
             if seed is not None:
                 sampler_cfg = dataclasses.replace(sampler_cfg, seed=seed)
 
             report = DroppedSampleReport()
             batch, dst = self._collect(run, sampler_cfg, report, attempt=0)
-            fields = self._attribute(batch, run.compiled, dst, report)
+            fields = self._attribute(batch, dst, report)
             fields = self._resample_thin_channels(run, sampler_cfg, fields, report)
             report.kept = int(fields["address"].shape[0])
             sp.set(observed=report.observed, kept=report.kept)
             if tel.enabled:
                 self._record_metrics(tel, fields, report)
+                tel.metrics.counter("profiler.run_reused").inc(int(reused))
                 # Snapshot, don't accumulate: a session may profile many
                 # runs (training collects 192), and the artifact's timeline
                 # view is of the *measured* run — always the last one.
@@ -227,7 +254,10 @@ class DrBwProfiler:
             return ProfileResult(
                 workload=workload,
                 run=run,
-                sample_set=SampleSet.from_arrays(**fields),
+                sample_set=SampleSet.from_arrays(
+                    **fields,
+                    object_id=run.compiled.allocator.object_ids_of_addresses,
+                ),
                 config=self.config,
                 dropped=report,
             )
@@ -439,19 +469,16 @@ class DrBwProfiler:
             name = MemLevel(int(lvl)).name.lower()
             m.counter(f"profiler.samples.level.{name}").inc(int(n))
 
-        remote = (fields["src_node"] != fields["dst_node"]) & (
-            fields["level"] == int(MemLevel.REMOTE_DRAM)
+        remote, codes, k = remote_channel_codes(
+            fields["src_node"], fields["dst_node"], fields["level"]
         )
-        if np.any(remote):
-            src = fields["src_node"][remote]
-            dst = fields["dst_node"][remote]
-            lat = fields["latency"][remote]
-            pairs = np.unique(np.stack([src, dst], axis=1), axis=0)
-            for s, d in pairs:
-                on_channel = (src == s) & (dst == d)
-                m.histogram(f"profiler.remote_latency.{s}->{d}").observe_many(
-                    lat[on_channel]
-                )
+        lat = fields["latency"][remote]
+        distinct, _ = np.unique(codes, return_counts=True)
+        for code in distinct.tolist():
+            s, d = divmod(code, k)
+            m.histogram(f"profiler.remote_latency.{s}->{d}").observe_many(
+                lat[codes == code]
+            )
 
     def _collect(
         self,
@@ -524,28 +551,27 @@ class DrBwProfiler:
     def _attribute(
         self,
         batch: RawSampleBatch,
-        compiled: CompiledWorkload,
         dst: np.ndarray,
         report: DroppedSampleReport,
     ) -> dict[str, np.ndarray]:
         """Vectorized channel association + data-object attribution.
 
         Source nodes come from CPU ids and the topology; target nodes
-        (``dst``) from :meth:`_collect`'s libnuma page-table lookup; object
-        ids from the allocation table's range index (heap objects only, -1
-        otherwise).  Samples whose lookup failed (``dst < 0``) are
-        quarantined (already counted by :meth:`_collect`) rather than
-        crashing the columnar SampleSet.  A faulty page table only turns
+        (``dst``) from :meth:`_collect`'s libnuma page-table lookup.  Object
+        ids (the allocation table's range index: heap objects only, -1
+        otherwise) are looked up on the final addresses when first read
+        (see :meth:`SampleSet.from_arrays`).  Samples whose lookup failed
+        (``dst < 0``) are quarantined (already counted by :meth:`_collect`)
+        rather than crashing the columnar SampleSet.  A faulty page table only turns
         lookups into ``-1``, so every surviving ``dst`` is the real
         table's answer and one lookup per batch suffices.
         """
         with get_telemetry().span("profiler.attribute", n_samples=len(batch)):
-            return self._attribute_inner(batch, compiled, dst, report)
+            return self._attribute_inner(batch, dst, report)
 
     def _attribute_inner(
         self,
         batch: RawSampleBatch,
-        compiled: CompiledWorkload,
         dst: np.ndarray,
         report: DroppedSampleReport,
     ) -> dict[str, np.ndarray]:
@@ -556,7 +582,6 @@ class DrBwProfiler:
             dst = dst[~lookup_failed]
         cores = batch.cpu % topo.n_cores
         src = cores // topo.cores_per_socket
-        object_id = compiled.allocator.object_ids_of_addresses(batch.address)
         return {
             "address": batch.address,
             "cpu": batch.cpu,
@@ -565,7 +590,6 @@ class DrBwProfiler:
             "latency": batch.latency,
             "src_node": np.asarray(src, dtype=np.int64),
             "dst_node": dst,
-            "object_id": object_id,
         }
 
     def _resample_thin_channels(
@@ -587,19 +611,11 @@ class DrBwProfiler:
             return fields
 
         def thin_channels(f: dict[str, np.ndarray]) -> set[tuple[int, int]]:
-            remote = (f["src_node"] != f["dst_node"]) & (
-                f["level"] == int(MemLevel.REMOTE_DRAM)
-            )
-            if not np.any(remote):
-                return set()
-            pairs, counts = np.unique(
-                np.stack([f["src_node"][remote], f["dst_node"][remote]], axis=1),
-                axis=0,
-                return_counts=True,
-            )
+            _, codes, k = remote_channel_codes(f["src_node"], f["dst_node"], f["level"])
+            uniq, counts = np.unique(codes, return_counts=True)
             return {
-                (int(s), int(d))
-                for (s, d), c in zip(pairs, counts)
+                divmod(code, k)
+                for code, c in zip(uniq.tolist(), counts.tolist())
                 if c < cfg.resample_floor
             }
 
@@ -642,7 +658,7 @@ class DrBwProfiler:
             )
             extra_report = DroppedSampleReport()
             batch, dst = self._collect(run, retry_cfg, extra_report, attempt)
-            extra = self._attribute(batch, run.compiled, dst, extra_report)
+            extra = self._attribute(batch, dst, extra_report)
             for reason, n in extra_report.quarantined.items():
                 report.count(reason, n)
             for reason, n in extra_report.injected.items():

@@ -31,7 +31,6 @@ from repro.eval.experiments import (
 from repro.eval.groundtruth import interleave_oracle
 from repro.faults import FAULT_PRESETS, FaultPlan
 from repro.numasim.machine import Machine
-from repro.workloads.runner import compile_bound
 from repro.workloads.suites.registry import BENCHMARKS, BenchmarkSpec
 
 __all__ = [
@@ -110,19 +109,15 @@ def run_detection_under_faults(
             for inp in spec.inputs:
                 for cfg in configs:
                     workload = spec.build(inp)
-                    compiled = compile_bound(
-                        workload, machine, cfg.n_threads, cfg.n_nodes
-                    )
-                    verdict = interleave_oracle(
-                        workload, machine, cfg.n_threads, cfg.n_nodes,
-                        compiled=compiled,
-                    )
                     profile = profiler.profile(
                         workload,
                         cfg.n_threads,
                         cfg.n_nodes,
                         seed=stable_case_seed(seed, name, inp, cfg.name),
-                        compiled=compiled,
+                    )
+                    verdict = interleave_oracle(
+                        workload, machine, cfg.n_threads, cfg.n_nodes,
+                        compiled=profile.compiled,
                     )
                     results.fold_degradation(profile.dropped)
                     detected = classify_case(clf.classify_profile(profile))

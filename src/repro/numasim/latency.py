@@ -24,20 +24,26 @@ from repro.types import Channel, MemLevel
 
 __all__ = ["LatencyModel", "LatencyTable", "queueing_delay_factor"]
 
+#: Utilizations are clipped just below 1 before the M/M/1 shape.
+_RHO_CEILING = 1.0 - 1e-9
+
 
 def queueing_delay_factor(rho: float | np.ndarray, max_inflation: float = 20.0) -> float | np.ndarray:
     """Multiplicative latency inflation for a resource at utilization ``rho``.
 
     Returns ``1 + rho/(1-rho)`` capped at ``max_inflation``; utilizations at
-    or above 1 saturate at the cap.  Vectorized over numpy arrays.
+    or above 1 saturate at the cap.  Vectorized over numpy arrays and
+    sequences; a scalar (or 0-d array) gives a float.  The engine calls
+    this once per fixed-point step, so both paths are plain expressions
+    (clip as max-then-min; NaN propagates, as through ``np.clip``).
     """
-    rho_arr = np.asarray(rho, dtype=np.float64)
-    safe = np.clip(rho_arr, 0.0, 1.0 - 1e-9)
-    factor = 1.0 + safe / (1.0 - safe)
-    result = np.minimum(factor, max_inflation)
-    if np.isscalar(rho) or (isinstance(rho, np.ndarray) and rho.ndim == 0):
-        return float(result)
-    return result
+    if isinstance(rho, np.ndarray) and rho.ndim == 0:
+        rho = float(rho)
+    if isinstance(rho, (np.ndarray, list, tuple)):
+        safe = np.minimum(np.maximum(np.asarray(rho, dtype=np.float64), 0.0), _RHO_CEILING)
+        return np.minimum(1.0 + safe / (1.0 - safe), max_inflation)
+    safe = min(max(float(rho), 0.0), _RHO_CEILING)
+    return float(min(1.0 + safe / (1.0 - safe), max_inflation))
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,9 @@ class PageTable:
         self._sizes: list[int] = []
         self._nodes: list[np.ndarray] = []  # per-range page->node arrays
         self._replicated: list[bool] = []
+        # pages_on_node answers by (base, size_bytes, node); every mapping
+        # change clears it.
+        self._pages_on_node: dict[tuple[int, int, int], np.ndarray] = {}
 
     # -- mapping ------------------------------------------------------------
 
@@ -203,6 +206,7 @@ class PageTable:
             raise AllocationError(f"base {base:#x} not page-aligned")
         idx = self._find_slot(base, size_bytes)
         nodes = policy.place(self.n_pages(size_bytes), self.n_nodes)
+        self._pages_on_node.clear()
         self._bases.insert(idx, base)
         self._sizes.insert(idx, size_bytes)
         self._nodes.insert(idx, nodes)
@@ -212,12 +216,14 @@ class PageTable:
     def unmap_range(self, base: int) -> None:
         """Remove the range starting exactly at ``base``."""
         i = self._range_index_of_base(base)
+        self._pages_on_node.clear()
         del self._bases[i], self._sizes[i], self._nodes[i], self._replicated[i]
 
     def remap_range(self, base: int, policy: PagePlacementPolicy) -> np.ndarray:
         """Re-place an existing range under a new policy (page migration)."""
         i = self._range_index_of_base(base)
         nodes = policy.place(self.n_pages(self._sizes[i]), self.n_nodes)
+        self._pages_on_node.clear()
         self._nodes[i] = nodes
         self._replicated[i] = isinstance(policy, Replicated)
         return nodes
@@ -361,12 +367,23 @@ class PageTable:
         return out
 
     def pages_on_node(self, base: int, size_bytes: int, node: int) -> np.ndarray:
-        """Page indices (relative to ``base``) that live on ``node``."""
-        i = self._range_index_of_addr(base)
-        first = (base - self._bases[i]) // self.page_bytes
-        last = (base + size_bytes - 1 - self._bases[i]) // self.page_bytes
-        window = self._nodes[i][first : last + 1]
-        return np.nonzero(window == node)[0]
+        """Page indices (relative to ``base``) that live on ``node``.
+
+        Memoized until the next map, unmap or remap: samplers of every
+        run that shares this table ask for the same windows, and the
+        scan over a large window is the expensive part.  The returned
+        array is shared, so it is read-only.
+        """
+        key = (base, size_bytes, node)
+        pages = self._pages_on_node.get(key)
+        if pages is None:
+            i = self._range_index_of_addr(base)
+            first = (base - self._bases[i]) // self.page_bytes
+            last = (base + size_bytes - 1 - self._bases[i]) // self.page_bytes
+            pages = np.nonzero(self._nodes[i][first : last + 1] == node)[0]
+            pages.setflags(write=False)
+            self._pages_on_node[key] = pages
+        return pages
 
     @property
     def n_ranges(self) -> int:

@@ -6,8 +6,10 @@ input), the ``Tt-Nn`` placement, optional machine-model overrides,
 optional profiler overrides (sampling period, fault plan, resample
 knobs), and which extra measurements to take (interleave oracle, Table
 VII overhead pass).  Workers rebuild everything from the spec and run it
-from scratch, so a shard's result depends only on ``(spec, seed)`` —
-never on which process executed it or in what order.
+from scratch — except that a process keeps its last profiled run, which
+the seed does not touch, for the next shard of the same spec — so a
+shard's result depends only on ``(spec, seed)``, never on which process
+executed it or in what order.
 
 The payload is symmetric: plain JSON (feature vectors per channel, the
 quarantine ledger, oracle/overhead numbers) that consumers re-hydrate
@@ -30,6 +32,7 @@ from repro.numasim.machine import Machine
 from repro.numasim.topology import NumaTopology
 from repro.pmu.sampler import SamplerConfig
 from repro.types import Channel
+from repro.workloads.runner import WorkloadRun
 
 __all__ = [
     "PROFILE_SHARD_KIND",
@@ -279,28 +282,54 @@ def dropped_from_payload(d: dict) -> DroppedSampleReport:
     )
 
 
+#: The last shard's profiled run, keyed by its spec's ``config_hash``.
+#: The spec fixes everything the simulation reads (machine, workload,
+#: ``Tt-Nn``, profiling stall) and holds no seed, which only drives the
+#: PEBS thinning: a shard at a new seed of the same spec samples this run
+#: instead of compiling and simulating again.  One slot per process: a
+#: miss empties it before simulating (so a serial process never holds two
+#: runs) and fills it with one tuple assignment.  It is read without a lock:
+#: threads that miss at once each simulate the same bytes, and no caller
+#: modifies a run.
+_last_run: tuple[str, WorkloadRun] | None = None
+
+
 def run_profile_shard(spec: dict, seed: int) -> dict:
     """Execute one shard (in a worker or in-process) and return its payload.
 
     The only inputs are ``spec`` and ``seed``; everything else — machine,
-    profiler, workload — is rebuilt here, which is what makes the result
+    profiler, workload — is rebuilt here (or, for the profiled run, taken
+    from the last shard of the same spec), which is what makes the result
     independent of the executing process.
     """
+    global _last_run
     if spec.get("kind") != PROFILE_SHARD_KIND:
         raise ParallelError(f"unsupported shard kind {spec.get('kind')!r}")
     from repro.core.profiler import DrBwProfiler
-    from repro.workloads.runner import compile_bound
+    from repro.parallel.seeding import config_hash
 
     machine = _build_machine(spec.get("machine"))
     profiler = DrBwProfiler(machine, _build_profiler_config(spec.get("profiler"), seed))
-    workload = _build_workload(spec["workload"])
     t, n = int(spec["n_threads"]), int(spec["n_nodes"])
 
+    # Only specs with features store a run, so no other spec's key matches.
+    key = config_hash(spec)
+    last = _last_run
+    run = last[1] if last is not None and last[0] == key else None
+    if run is not None:
+        workload = run.compiled.workload
+    else:
+        # Drop the other spec's run, this frame's reference included,
+        # before simulating this one.
+        _last_run = last = None
+        workload = _build_workload(spec["workload"])
+    profile = None
+    if spec.get("features", True):
+        profile = profiler.profile(workload, t, n, seed=seed, run=run)
+        if run is None:
+            _last_run = (key, profile.run)
+
     payload: dict[str, Any] = {}
-    # The oracle's original run and the profile run share one compile.
-    compiled = None
-    if spec.get("oracle") and spec.get("features", True):
-        compiled = compile_bound(workload, machine, t, n)
     if spec.get("overhead"):
         plain, profiled, _ = profiler.measure_overhead(workload, t, n)
         payload["overhead"] = {
@@ -310,6 +339,8 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
     if spec.get("oracle"):
         from repro.eval.groundtruth import interleave_oracle
 
+        # The oracle's original run shares the profiled run's compile.
+        compiled = profile.run.compiled if profile is not None else None
         verdict = interleave_oracle(workload, machine, t, n, compiled=compiled)
         payload["oracle"] = {
             "original_cycles": float(verdict.original_cycles),
@@ -317,8 +348,7 @@ def run_profile_shard(spec: dict, seed: int) -> dict:
             "speedup": float(verdict.speedup),
             "mode": verdict.mode.value,
         }
-    if spec.get("features", True):
-        profile = profiler.profile(workload, t, n, seed=seed, compiled=compiled)
+    if profile is not None:
         per_channel = profile.features_per_channel()
         payload["channels"] = [
             [ch.src, ch.dst, fv.values.tolist()]

@@ -96,7 +96,10 @@ class AddressSampler:
         # Candidate-page sets per (region, level, dst) — page placement is
         # fixed for the table this sampler was built against, so the lookup
         # is pure; caching it keeps the streaming path (many small interval
-        # batches over the same regions) as cheap as the batch path.
+        # batches over the same regions) as cheap as the batch path.  The
+        # page scans themselves are memoized on the table
+        # (PageTable.pages_on_node), so a new sampler over a shared run
+        # rebuilds this dict without rescanning.
         self._page_cache: dict[tuple[int, int, int, int], np.ndarray | None | bool] = {}
         # Single-slot cache of the per-row candidate-page layout for the
         # last BucketRates table seen by sample_interval.  Every interval

@@ -109,3 +109,65 @@ def test_from_arrays_rejects_unattributed_and_ragged():
     ragged = dict(one, cpu=np.array([0, 1], dtype=np.int64))
     with pytest.raises(ModelError, match="mismatched length"):
         SampleSet.from_arrays(**ragged)
+
+
+def _remote_channels_by_set(sset: SampleSet) -> list[tuple[int, int]]:
+    """The earlier set-of-pairs formulation, kept as the oracle."""
+    remote = (sset.src_node != sset.dst_node) & (
+        sset.level == int(MemLevel.REMOTE_DRAM)
+    )
+    return sorted({
+        (int(s), int(d))
+        for s, d in zip(sset.src_node[remote], sset.dst_node[remote])
+    })
+
+
+@given(
+    arrays=sample_arrays(),
+    nodes=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=48),
+)
+@settings(max_examples=150, deadline=None)
+def test_remote_channels_match_the_set_oracle(arrays, nodes):
+    # Any node pair, same-node remote records and wide node ids included.
+    n = len(arrays["address"])
+    if nodes and n:
+        pairs = np.array([nodes[i % len(nodes)] for i in range(n)], dtype=np.int64)
+        arrays["src_node"], arrays["dst_node"] = pairs[:, 0], pairs[:, 1]
+    sset = SampleSet.from_arrays(**arrays)
+    got = sset.remote_channels()
+    assert [(c.src, c.dst) for c in got] == _remote_channels_by_set(sset)
+    assert all(type(c.src) is int and type(c.dst) is int for c in got)
+
+
+@given(arrays=sample_arrays())
+@settings(max_examples=50, deadline=None)
+def test_lazy_object_ids_equal_eager(arrays):
+    ids = arrays.pop("object_id")
+    calls = []
+
+    def lookup(address):
+        calls.append(address)
+        return ids
+
+    lazy = SampleSet.from_arrays(**arrays, object_id=lookup)
+    assert not calls  # nothing attributed until read
+    assert lazy.object_id.tobytes() == ids.tobytes()
+    assert lazy.object_id.tobytes() == ids.tobytes()
+    assert len(calls) == 1 and calls[0] is lazy.address
+
+
+def test_lazy_object_ids_of_the_wrong_length_are_refused():
+    from repro.errors import ModelError
+
+    one = dict(
+        address=np.array([1, 2], dtype=np.int64),
+        cpu=np.array([0, 0], dtype=np.int64),
+        thread_id=np.array([0, 0], dtype=np.int64),
+        level=np.array([int(MemLevel.L1)] * 2, dtype=np.int64),
+        latency=np.array([4.0, 4.0]),
+        src_node=np.array([0, 0], dtype=np.int64),
+        dst_node=np.array([0, 0], dtype=np.int64),
+    )
+    sset = SampleSet.from_arrays(**one, object_id=lambda a: a[:1])
+    with pytest.raises(ModelError, match="mismatched length"):
+        sset.object_id

@@ -169,7 +169,12 @@ class _TwoLookupProfiler(DrBwProfiler):
     """Attribution with its own second page-table lookup on the surviving
     samples, instead of reusing the collection pass's lookup."""
 
-    def _attribute_inner(self, batch, compiled, dst, report):
+    def _collect_inner(self, run, sampler_cfg, report, attempt):
+        self._compiled = run.compiled
+        return super()._collect_inner(run, sampler_cfg, report, attempt)
+
+    def _attribute_inner(self, batch, dst, report):
+        compiled = self._compiled
         lookup_failed = dst < 0
         if np.any(lookup_failed):
             batch = batch.select(~lookup_failed)
@@ -185,7 +190,6 @@ class _TwoLookupProfiler(DrBwProfiler):
             "dst_node": compiled.page_table.nodes_of_addresses(
                 batch.address, accessor_nodes=src
             ),
-            "object_id": compiled.allocator.object_ids_of_addresses(batch.address),
         }
 
 
@@ -212,11 +216,11 @@ class TestSingleLookup:
             resample_attempts=3,
         )
         profile = Recording(machine, cfg).profile(make_sumv(256 * MB), 8, 2, seed=3)
-        return passes, profile.dropped
+        return passes, profile.dropped, profile
 
     def test_fields_match_a_second_lookup(self, machine):
-        got, got_report = self._attributed(DrBwProfiler, machine)
-        want, want_report = self._attributed(_TwoLookupProfiler, machine)
+        got, got_report, _ = self._attributed(DrBwProfiler, machine)
+        want, want_report, _ = self._attributed(_TwoLookupProfiler, machine)
         # The case exercises both paths: injected lookup failures, and
         # resample passes after the first one.
         assert got_report.injected.get("lookup_failure", 0) > 0
@@ -228,3 +232,15 @@ class TestSingleLookup:
                 assert g[key].dtype == w[key].dtype, key
                 assert g[key].tobytes() == w[key].tobytes(), key
         assert got_report == want_report
+
+    def test_object_ids_are_the_final_addresses_lookup(self, machine):
+        """Object ids are attributed on first read, over the kept and
+        resampled addresses, with the same table an eager pass would use."""
+        _, report, profile = self._attributed(DrBwProfiler, machine)
+        assert report.resample_attempts > 0
+        samples = profile.sample_set
+        assert callable(samples._object_id)
+        want = profile.compiled.allocator.object_ids_of_addresses(samples.address)
+        assert samples.object_id.tobytes() == want.tobytes()
+        assert samples.object_id.dtype == np.int64
+        assert np.any(samples.object_id >= 0)

@@ -31,6 +31,59 @@ class TestQueueingDelayFactor:
             assert queueing_delay_factor(float(r)) == pytest.approx(v)
 
 
+def _numpy_delay_factor(rho, max_inflation=20.0):
+    """The earlier np.asarray/np.clip formulation, kept as the oracle."""
+    rho_arr = np.asarray(rho, dtype=np.float64)
+    safe = np.clip(rho_arr, 0.0, 1.0 - 1e-9)
+    factor = 1.0 + safe / (1.0 - safe)
+    result = np.minimum(factor, max_inflation)
+    if np.isscalar(rho) or (isinstance(rho, np.ndarray) and rho.ndim == 0):
+        return float(result)
+    return result
+
+
+class TestDelayFactorBits:
+    """The plain-expression factor is bit-identical to the numpy one."""
+
+    EDGES = [0.0, -0.0, -1e-300, -0.5, -3.0, 1e-12, 0.5, 1.0 - 1e-9, 1.0 - 1e-10,
+             1.0, 1.0 + 1e-12, 1.5, 1e9, float("inf"), -float("inf"), float("nan")]
+
+    @staticmethod
+    def _values():
+        rng = np.random.default_rng(2017)
+        grid = np.concatenate([
+            np.array(TestDelayFactorBits.EDGES),
+            rng.uniform(-0.5, 1.5, 4000),
+            1.0 - rng.uniform(0.0, 1e-6, 500),
+        ])
+        return grid
+
+    @pytest.mark.parametrize("cap", [8.0, 20.0, 8, 1e300])
+    def test_scalars(self, cap):
+        for r in self._values().tolist():
+            for rho in (r, np.float64(r), np.array(r)):
+                got = queueing_delay_factor(rho, cap)
+                want = _numpy_delay_factor(rho, cap)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), rho
+
+    @pytest.mark.parametrize("cap", [8.0, 20.0, 8])
+    def test_arrays(self, cap):
+        grid = self._values()
+        for rho in (grid, grid.reshape(-1, 4), grid[:12], grid[:0], list(grid[:12])):
+            got = queueing_delay_factor(rho, cap)
+            want = _numpy_delay_factor(rho, cap)
+            assert isinstance(got, np.ndarray)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_integer_inputs(self):
+        for rho in (0, 1, 2, -1, np.array([0, 1, 2])):
+            got = queueing_delay_factor(rho, 8.0)
+            want = _numpy_delay_factor(rho, 8.0)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 class TestLatencyModel:
     def setup_method(self):
         self.model = LatencyModel()

@@ -163,6 +163,32 @@ class TestPageTable:
         pages = self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)
         assert list(pages) == [1, 5]
 
+    def test_pages_on_node_is_memoized_and_read_only(self):
+        self.pt.map_range(0x10000, 8 * PAGE_BYTES, Interleave())
+        pages = self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)
+        assert self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1) is pages
+        assert self.pt.pages_on_node(0x10000, 4 * PAGE_BYTES, 1) is not pages
+        with pytest.raises(ValueError):
+            pages[0] = 3
+
+    def test_remap_invalidates_pages_on_node(self):
+        self.pt.map_range(0x10000, 8 * PAGE_BYTES, Interleave())
+        assert list(self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)) == [1, 5]
+        self.pt.remap_range(0x10000, BindToNode(1))
+        assert list(self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)) == list(range(8))
+        assert self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 0).size == 0
+
+    def test_unmap_invalidates_pages_on_node(self):
+        self.pt.map_range(0x10000, 8 * PAGE_BYTES, Interleave())
+        self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)
+        self.pt.unmap_range(0x10000)
+        with pytest.raises(InvalidAddressError):
+            self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1)
+        # A new mapping at the same base answers for its own pages.
+        self.pt.map_range(0x10000, 8 * PAGE_BYTES, BindToNode(2))
+        assert list(self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 2)) == list(range(8))
+        assert self.pt.pages_on_node(0x10000, 8 * PAGE_BYTES, 1).size == 0
+
     def test_vectorized_matches_scalar(self):
         self.pt.map_range(0x10000, 16 * PAGE_BYTES, Interleave())
         addrs = np.array([0x10000 + i * 1000 for i in range(50)], dtype=np.int64)

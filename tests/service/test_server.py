@@ -247,6 +247,25 @@ class TestMetrics:
             assert "drbw_pipeline_" in page
             assert len(q.telemetry.tracer.records) > 0
 
+    def test_run_reuse_shows_in_metrics(self, monkeypatch):
+        """Two profile jobs of one shard spec: the second samples the
+        first's run, and the pipeline counter says so."""
+        from repro.parallel import shards
+
+        monkeypatch.setattr(shards, "_last_run", None)
+        shard = shards.profile_shard(shards.benchmark_workload_spec("NW", "small"), 8, 2)
+        q = ServiceQueue(workers=1, capacity=4, telemetry_enabled=True)
+        with ServiceServer(q, port=0) as server:
+            client = ServiceClient(server.url)
+            for seed in (1, 2):
+                client.run({"kind": "profile", "spec": shard, "seed": seed}, timeout=120)
+            page = client.metrics()
+        values = [
+            float(line.split()[1]) for line in page.splitlines()
+            if line.startswith("drbw_pipeline_profiler_run_reused_total ")
+        ]
+        assert values == [1.0]
+
 
 class TestLifecycle:
     def test_graceful_shutdown_finishes_accepted_jobs(self, gated):

@@ -80,6 +80,9 @@ def test_oracle_shard_compiles_once_per_binding(monkeypatch):
     oracle's original run and the profile run) plus the interleaved one."""
     import repro.workloads.runner as runner
     from repro.parallel import benchmark_workload_spec, profile_shard, run_profile_shard
+    from repro.parallel import shards
+
+    monkeypatch.setattr(shards, "_last_run", None)  # a cold shard
 
     calls = []
     compile_workload = runner.compile_workload
