@@ -68,7 +68,10 @@ class AgreementMonitor(LiveMonitor):
             key: np.concatenate([f[key] for f in self._frames])
             for key in self._frames[0]
         }
-        samples = SampleSet.from_arrays(**merged)
+        # Streamed fields carry no object ids, and Table I never reads them.
+        samples = SampleSet.from_arrays(
+            **merged, object_id=np.full(merged["address"].shape, -1, dtype=np.int64)
+        )
         for channel, view in snapshot.channels.items():
             try:
                 features = extract_channel_features(

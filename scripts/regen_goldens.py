@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Regenerate the golden regression fixtures under ``tests/golden/``.
 
-Three fixtures pin the numeric behaviour of the pipeline at seed 0:
+Four fixtures pin the numeric behaviour of the pipeline:
 
 * ``table1_features.json`` — the hottest-channel Table I feature vectors
   for a stride-sampled slice of the 192-config training grid;
@@ -11,10 +11,14 @@ Three fixtures pin the numeric behaviour of the pipeline at seed 0:
   bucket-rate digests, node/channel byte counts) plus the full
   uncontended latency table for two pinned topologies.  This one is
   byte-exact: the digests hash the raw float bytes, so it fails on a
-  single flipped mantissa bit anywhere in the engine.
+  single flipped mantissa bit anywhere in the engine;
+* ``profile_digests.json`` — digests of the batch and live profilers'
+  sample columns, streamed intervals and quarantine ledgers, clean and
+  under the ``standard`` fault plan, for two pinned cases.  Byte-exact
+  like the interval fixture.
 
 ``tests/test_golden.py`` compares fresh runs against these files (the
-first two at 1e-9 absolute tolerance, the interval fixture exactly).
+first two at 1e-9 absolute tolerance, the last two exactly).
 Rerun this script (``PYTHONPATH=src python scripts/regen_goldens.py``)
 only when a deliberate modelling change moves the numbers, and call out
 the refreshed fixtures in the PR description.
@@ -81,12 +85,19 @@ def build_interval_golden() -> dict:
     return _build()
 
 
+def build_profile_golden() -> dict:
+    from tests.golden_profiles import build_profile_golden as _build
+
+    return _build()
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for name, payload in (
         ("table1_features.json", build_feature_golden()),
         ("classifier_tree.json", build_tree_golden()),
         ("engine_intervals.json", build_interval_golden()),
+        ("profile_digests.json", build_profile_golden()),
     ):
         path = GOLDEN_DIR / name
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

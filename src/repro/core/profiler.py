@@ -179,6 +179,67 @@ class ProfileResult:
             }
 
 
+class _CollectionPass:
+    """The PEBS sampler and libnuma page table of one collection pass.
+
+    Both are fault-wrapped when ``plan`` is set; this is the one place the
+    profiler builds :class:`~repro.faults.FaultyAddressSampler` and
+    :class:`~repro.faults.FaultyPageTable`.  A whole run
+    (:meth:`DrBwProfiler.profile`) and each interval of a streamed run
+    (:meth:`DrBwProfiler.profile_live`) go through the same
+    :meth:`lookup`.
+    """
+
+    def __init__(self, machine: Machine, page_table, sampler_cfg: SamplerConfig, plan) -> None:
+        self.topology = machine.topology
+        self.sampler = AddressSampler(
+            sampler_cfg, page_table=page_table, latency_model=machine.latency_model
+        )
+        self.page_table = page_table
+        self._faulty_sampler = self._faulty_table = None
+        self._seen_failures = 0
+        if plan is not None:
+            from repro.faults import FaultyAddressSampler, FaultyPageTable
+
+            self.sampler = self._faulty_sampler = FaultyAddressSampler(
+                self.sampler, plan, n_cpus=self.topology.n_cpus
+            )
+            self.page_table = self._faulty_table = FaultyPageTable(page_table, plan)
+
+    def lookup(self, batch: RawSampleBatch, report: DroppedSampleReport) -> np.ndarray:
+        """Each sample's target node, ``-1`` where the lookup failed.
+
+        Counts ``batch`` as observed and its failed lookups as quarantined:
+        transient libnuma failures (as many as the wrapper injected since
+        the last call) vs. addresses that never mapped at all.
+        """
+        report.observed += len(batch)
+        topo = self.topology
+        src = (batch.cpu % topo.n_cores) // topo.cores_per_socket
+        dst = self.page_table.nodes_of_addresses(
+            batch.address, accessor_nodes=src, on_unmapped="ignore"
+        )
+        n_bad = int((dst < 0).sum())
+        transient = 0
+        if self._faulty_table is not None:
+            failures = self._faulty_table.injected_failures
+            transient = min(failures - self._seen_failures, n_bad)
+            self._seen_failures = failures
+            report.count("lookup_failure", transient)
+        report.count("unmapped_address", n_bad - transient)
+        return dst
+
+    def fold_injected(self, report: DroppedSampleReport) -> None:
+        """Add the perturbations the fault wrappers applied to ``report``."""
+        if self._faulty_sampler is None:
+            return
+        injected = dict(self._faulty_sampler.injected)
+        injected["lookup_failure"] = self._faulty_table.injected_failures
+        for reason, n in injected.items():
+            if n:
+                report.injected[reason] = report.injected.get(reason, 0) + n
+
+
 class DrBwProfiler:
     """Run a workload under DR-BW's sampling profiler."""
 
@@ -242,25 +303,8 @@ class DrBwProfiler:
             batch, dst = self._collect(run, sampler_cfg, report, attempt=0)
             fields = self._attribute(batch, dst, report)
             fields = self._resample_thin_channels(run, sampler_cfg, fields, report)
-            report.kept = int(fields["address"].shape[0])
-            sp.set(observed=report.observed, kept=report.kept)
-            if tel.enabled:
-                self._record_metrics(tel, fields, report)
-                tel.metrics.counter("profiler.run_reused").inc(int(reused))
-                # Snapshot, don't accumulate: a session may profile many
-                # runs (training collects 192), and the artifact's timeline
-                # view is of the *measured* run — always the last one.
-                tel.timelines[:] = capture_run_timelines(run.result)
-            return ProfileResult(
-                workload=workload,
-                run=run,
-                sample_set=SampleSet.from_arrays(
-                    **fields,
-                    object_id=run.compiled.allocator.object_ids_of_addresses,
-                ),
-                config=self.config,
-                dropped=report,
-            )
+            tel.metrics.counter("profiler.run_reused").inc(int(reused))
+            return self._finish(tel, sp, workload, run, fields, report)
 
     def profile_live(
         self,
@@ -283,7 +327,11 @@ class DrBwProfiler:
         simulated.  Per-interval Poisson thinning is distributionally
         identical to end-of-run thinning, so the returned
         :class:`ProfileResult` carries the same sample statistics as the
-        batch path.
+        batch path.  Both paths share one collection pass: the same
+        (fault-wrapped) sampler and page table, libnuma lookup, quarantine
+        split and attribution, with object ids looked up on first read.
+        The streamed ``fields`` carry no object ids, and no per-interval
+        spans are recorded.
 
         ``interval_cycles`` bounds the monitoring interval length (defaults
         to ``monitor.interval_cycles`` when the monitor declares one, else
@@ -304,71 +352,25 @@ class DrBwProfiler:
             sampler_cfg = self.config.sampler
             if seed is not None:
                 sampler_cfg = dataclasses.replace(sampler_cfg, seed=seed)
-            sampler: AddressSampler | object = AddressSampler(
-                sampler_cfg,
-                page_table=compiled.page_table,
-                latency_model=self.machine.latency_model,
+            collection = _CollectionPass(
+                self.machine, compiled.page_table, sampler_cfg, self.config.faults
             )
-            page_table = compiled.page_table
-            plan = self.config.faults
-            faulty_sampler = None
-            faulty_table = None
-            if plan is not None:
-                from repro.faults import FaultyAddressSampler, FaultyPageTable
-
-                faulty_sampler = FaultyAddressSampler(
-                    sampler, plan, n_cpus=self.machine.topology.n_cpus
-                )
-                faulty_table = FaultyPageTable(page_table, plan)
-                sampler, page_table = faulty_sampler, faulty_table
-
             if interval_cycles is None:
                 interval_cycles = getattr(monitor, "interval_cycles", None)
 
             report = DroppedSampleReport()
-            topo = self.machine.topology
             chunks: list[dict[str, np.ndarray]] = []
-            n_intervals = 0
-            seen_lookup_failures = 0
 
             def on_interval(record) -> None:
-                nonlocal n_intervals, seen_lookup_failures
-                n_intervals += 1
-                batch = sampler.sample_interval(record)
-                observed = len(batch)
-                report.observed += observed
-                src = (batch.cpu % topo.n_cores) // topo.cores_per_socket
-                dst = page_table.nodes_of_addresses(
-                    batch.address, accessor_nodes=src, on_unmapped="ignore"
-                )
-                bad = dst < 0
-                n_bad = int(bad.sum())
-                if faulty_table is not None:
-                    delta = faulty_table.injected_failures - seen_lookup_failures
-                    seen_lookup_failures = faulty_table.injected_failures
-                    transient = min(delta, n_bad)
-                    report.count("lookup_failure", transient)
-                    report.count("unmapped_address", n_bad - transient)
-                else:
-                    report.count("unmapped_address", n_bad)
-                if n_bad:
-                    keep = ~bad
-                    batch = batch.select(keep)
-                    src = src[keep]
-                    dst = dst[keep]
-                fields = {
-                    "address": batch.address,
-                    "cpu": batch.cpu,
-                    "thread_id": batch.thread_id,
-                    "level": batch.level,
-                    "latency": batch.latency,
-                    "src_node": np.asarray(src, dtype=np.int64),
-                    "dst_node": np.asarray(dst, dtype=np.int64),
-                    "object_id": compiled.allocator.object_ids_of_addresses(batch.address),
-                }
+                batch = collection.sampler.sample_interval(record)
+                dst = collection.lookup(batch, report)
+                fields = self._attribute_inner(batch, dst, report)
                 chunks.append(fields)
                 monitor.observe_interval(
-                    record, fields, observed=observed, quarantined=n_bad
+                    record,
+                    fields,
+                    observed=len(batch),
+                    quarantined=len(batch) - fields["address"].shape[0],
                 )
 
             result = self.machine.run(
@@ -379,50 +381,20 @@ class DrBwProfiler:
                 interval_max_cycles=interval_cycles,
             )
             run = WorkloadRun(compiled=compiled, result=result)
-
-            if faulty_sampler is not None:
-                for reason, n in faulty_sampler.injected.items():
-                    if n:
-                        report.injected[reason] = report.injected.get(reason, 0) + n
-            if faulty_table is not None and faulty_table.injected_failures:
-                report.injected["lookup_failure"] = faulty_table.injected_failures
-
-            fields = self._concat_chunks(chunks)
-            report.kept = int(fields["address"].shape[0])
-            sp.set(observed=report.observed, kept=report.kept, intervals=n_intervals)
-            if tel.enabled:
-                self._record_metrics(tel, fields, report)
-                tel.timelines[:] = capture_run_timelines(result)
+            collection.fold_injected(report)
+            empty = self._attribute_inner(
+                RawSampleBatch.empty(), np.zeros(0, dtype=np.int64), report
+            )
+            fields = {
+                name: np.concatenate([empty[name], *(c[name] for c in chunks)])
+                for name in empty
+            }
+            profile = self._finish(tel, sp, workload, run, fields, report)
+            sp.set(intervals=len(chunks))
             finalize = getattr(monitor, "finalize", None)
             if finalize is not None:
                 finalize(run)
-            return ProfileResult(
-                workload=workload,
-                run=run,
-                sample_set=SampleSet.from_arrays(**fields),
-                config=self.config,
-                dropped=report,
-            )
-
-    @staticmethod
-    def _concat_chunks(chunks: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-        """Union of per-interval field dicts (typed empties when no samples)."""
-        if chunks:
-            return {
-                name: np.concatenate([c[name] for c in chunks])
-                for name in chunks[0]
-            }
-        empty_i = lambda: np.zeros(0, dtype=np.int64)  # noqa: E731
-        return {
-            "address": empty_i(),
-            "cpu": empty_i(),
-            "thread_id": empty_i(),
-            "level": empty_i(),
-            "latency": np.zeros(0, dtype=np.float64),
-            "src_node": empty_i(),
-            "dst_node": empty_i(),
-            "object_id": empty_i(),
-        }
+            return profile
 
     def measure_overhead(
         self, workload: Workload, n_threads: int, n_nodes: int
@@ -443,6 +415,39 @@ class DrBwProfiler:
         return plain.total_cycles, profiled.total_cycles, overhead
 
     # -- internals ----------------------------------------------------------------
+
+    def _finish(
+        self,
+        tel,
+        sp,
+        workload: Workload,
+        run: WorkloadRun,
+        fields: dict[str, np.ndarray],
+        report: DroppedSampleReport,
+    ) -> ProfileResult:
+        """Seal the ledger, annotate the profile span ``sp``, record the
+        telemetry and wrap the attributed samples of ``run``.
+
+        Object ids are looked up on the final addresses when first read
+        (see :meth:`SampleSet.from_arrays`).
+        """
+        report.kept = int(fields["address"].shape[0])
+        sp.set(observed=report.observed, kept=report.kept)
+        if tel.enabled:
+            self._record_metrics(tel, fields, report)
+            # Snapshot, don't accumulate: a session may profile many runs
+            # (training collects 192), and the artifact's timeline view is
+            # of the *measured* run — always the last one.
+            tel.timelines[:] = capture_run_timelines(run.result)
+        return ProfileResult(
+            workload=workload,
+            run=run,
+            sample_set=SampleSet.from_arrays(
+                **fields, object_id=run.compiled.allocator.object_ids_of_addresses
+            ),
+            config=self.config,
+            dropped=report,
+        )
 
     def _record_metrics(
         self, tel, fields: dict[str, np.ndarray], report: DroppedSampleReport
@@ -502,50 +507,15 @@ class DrBwProfiler:
         report: DroppedSampleReport,
         attempt: int,
     ) -> tuple[RawSampleBatch, np.ndarray]:
-        sampler: AddressSampler | object = AddressSampler(
-            sampler_cfg,
-            page_table=run.compiled.page_table,
-            latency_model=self.machine.latency_model,
-        )
-        page_table = run.compiled.page_table
         plan = self.config.faults
-        faulty_sampler = None
-        faulty_table = None
-        if plan is not None:
-            from repro.faults import FaultyAddressSampler, FaultyPageTable
-
-            attempt_plan = plan.with_seed(plan.seed + 7919 * attempt) if attempt else plan
-            faulty_sampler = FaultyAddressSampler(
-                sampler, attempt_plan, n_cpus=self.machine.topology.n_cpus
-            )
-            faulty_table = FaultyPageTable(page_table, attempt_plan)
-            sampler, page_table = faulty_sampler, faulty_table
-
-        batch = sampler.sample_run_batch(run.result)
-        report.observed += len(batch)
-
-        topo = self.machine.topology
-        src = (batch.cpu % topo.n_cores) // topo.cores_per_socket
-        dst = page_table.nodes_of_addresses(
-            batch.address, accessor_nodes=src, on_unmapped="ignore"
+        if plan is not None and attempt:
+            plan = plan.with_seed(plan.seed + 7919 * attempt)
+        collection = _CollectionPass(
+            self.machine, run.compiled.page_table, sampler_cfg, plan
         )
-        lookup_failed = dst < 0
-        if faulty_sampler is not None:
-            for reason, n in faulty_sampler.injected.items():
-                if n:
-                    report.injected[reason] = report.injected.get(reason, 0) + n
-        if faulty_table is not None and faulty_table.injected_failures:
-            report.injected["lookup_failure"] = (
-                report.injected.get("lookup_failure", 0) + faulty_table.injected_failures
-            )
-            # Transient libnuma failures vs. genuinely unmappable addresses:
-            # the wrapper knows how many it failed; the remainder of the bad
-            # lookups never mapped at all.
-            transient = min(faulty_table.injected_failures, int(lookup_failed.sum()))
-            report.count("lookup_failure", transient)
-            report.count("unmapped_address", int(lookup_failed.sum()) - transient)
-        else:
-            report.count("unmapped_address", int(lookup_failed.sum()))
+        batch = collection.sampler.sample_run_batch(run.result)
+        dst = collection.lookup(batch, report)
+        collection.fold_injected(report)
         return batch, dst
 
     def _attribute(

@@ -259,10 +259,9 @@ def collect_training_set(
     declarative shard spec seeded from ``(seed, config hash)``, executed
     over ``jobs`` worker processes (``DRBW_JOBS``/serial by default) and
     optionally memoized in the on-disk result cache.  The result is
-    bit-identical for any worker count.  Machines or profiler configs the
+    bit-identical for any worker count.  A machine or profiler config the
     shard encoding cannot carry (custom PMU events, per-channel capacity
-    overrides) fall back to in-process collection with the same
-    content-derived per-config seeds.
+    overrides) raises :class:`~repro.errors.ParallelError`.
     """
     from repro.parallel import CampaignRunner
     from repro.parallel.shards import (
@@ -280,8 +279,6 @@ def collect_training_set(
     pspec = profiler_spec(profiler.config)
     instances: list[TrainingInstance] = []
     with get_telemetry().span("training.collect", n_configs=len(configs)):
-        if mspec is None or pspec is None:
-            return _collect_in_process(profiler, configs, seed)
         specs = [
             profile_shard(
                 training_workload_spec(cfg),
@@ -311,34 +308,6 @@ def collect_training_set(
                 )
             )
     logger.info("collected %d training instances", len(instances))
-    return instances
-
-
-def _collect_in_process(
-    profiler: DrBwProfiler, configs: list[TrainingConfig], seed: int
-) -> list[TrainingInstance]:
-    """Serial fallback for shard-unencodable machines/profilers.
-
-    Seeds are still derived from the workload spec's content hash — never
-    from the loop index alone — so inserting or reordering configurations
-    does not reseed the survivors.
-    """
-    from repro.parallel.seeding import config_hash, shard_seed
-    from repro.parallel.shards import training_workload_spec
-
-    instances: list[TrainingInstance] = []
-    for cfg in configs:
-        workload = _build_workload(cfg)
-        run_seed = shard_seed(seed, config_hash(training_workload_spec(cfg)))
-        profile = profiler.profile(
-            workload, n_threads=cfg.n_threads, n_nodes=cfg.n_nodes, seed=run_seed
-        )
-        features, channel = hottest_channel_features(profile)
-        instances.append(
-            TrainingInstance(
-                config=cfg, features=features, label=cfg.label, channel=channel
-            )
-        )
     return instances
 
 

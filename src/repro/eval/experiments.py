@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.classifier import DrBwClassifier, classify_benchmark, classify_case
 from repro.core.diagnoser import Diagnoser, DiagnosisReport
-from repro.core.profiler import DrBwProfiler, ProfilerConfig
+from repro.core.profiler import DroppedSampleReport, DrBwProfiler, ProfilerConfig
 from repro.core.training import (
     TrainingInstance,
     train_default_classifier,
@@ -144,9 +144,11 @@ class CaseResult:
 
 @dataclass
 class DetectionResults:
-    """All Table V cases plus the derived Table IV / VI summaries."""
+    """All Table V cases plus the derived Table IV / VI summaries, and the
+    campaign's pooled quarantine ledger."""
 
     cases: list[CaseResult] = field(default_factory=list)
+    dropped: DroppedSampleReport = field(default_factory=DroppedSampleReport)
 
     def per_benchmark(self) -> dict[str, tuple[int, int, int]]:
         """benchmark -> (cases, actual RMC, detected RMC), Table V rows."""
@@ -203,6 +205,27 @@ def run_table5_detection(
     old ``hash((name, inp, cfg.name))`` seeding was salted per process and
     made every fresh interpreter a different experiment.
     """
+    return _detection_sweep(
+        seed, benchmarks, configs, None,
+        jobs=jobs, cache=cache, cache_dir=cache_dir, use_cache=use_cache,
+        runner_opts=runner_opts,
+    )
+
+
+def _detection_sweep(
+    seed: int,
+    benchmarks: list[str] | None,
+    configs: tuple[RunConfig, ...],
+    pspec: dict | None,
+    *,
+    jobs: int | None = None,
+    cache=None,
+    cache_dir: str | None = None,
+    use_cache: bool = False,
+    runner_opts: dict | None = None,
+) -> DetectionResults:
+    """The Table V case loop, profiling each case with shard profiler spec
+    ``pspec`` (``None`` is the default profiler)."""
     from repro.parallel import CampaignRunner
     from repro.parallel.shards import (
         benchmark_workload_spec,
@@ -224,6 +247,7 @@ def run_table5_detection(
                         benchmark_workload_spec(name, inp),
                         cfg.n_threads,
                         cfg.n_nodes,
+                        profiler=pspec,
                         oracle=True,
                     )
                 )
@@ -235,8 +259,9 @@ def run_table5_detection(
         campaign_seed=seed,
         **(runner_opts or {}),
     )
-    results = DetectionResults()
-    for (name, inp, cfg), outcome in zip(cases, runner.run(specs)):
+    campaign = runner.run(specs)
+    results = DetectionResults(dropped=campaign.dropped)
+    for (name, inp, cfg), outcome in zip(cases, campaign):
         labels = {
             ch: clf.classify_channel_detailed(fv).mode
             for ch, fv in payload_channel_features(outcome.payload).items()
@@ -305,8 +330,9 @@ def run_table7_overhead(
     """Profiling overhead at 64 threads across four nodes (Table VII).
 
     Overhead shards skip feature extraction (``features=False``) — the
-    measurement is the plain-vs-profiled cycle pair.  Profiler configs the
-    shard encoding cannot carry run in-process instead.
+    measurement is the plain-vs-profiled cycle pair.  A profiler config
+    the shard encoding cannot carry raises
+    :class:`~repro.errors.ParallelError`.
     """
     from repro.parallel import CampaignRunner
     from repro.parallel.shards import (
@@ -316,19 +342,6 @@ def run_table7_overhead(
     )
 
     pspec = profiler_spec(profiler_config or ProfilerConfig())
-    if pspec is None:
-        machine = Machine()
-        profiler = DrBwProfiler(machine, profiler_config)
-        rows = []
-        for name, inp in TABLE7_BENCHMARKS:
-            workload = BENCHMARKS[name].build(inp)
-            plain, profiled, _ = profiler.measure_overhead(
-                workload, config.n_threads, config.n_nodes
-            )
-            rows.append(
-                OverheadRow(benchmark=name, plain_cycles=plain, profiled_cycles=profiled)
-            )
-        return rows
     specs = [
         profile_shard(
             benchmark_workload_spec(name, inp),

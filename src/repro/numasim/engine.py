@@ -64,7 +64,6 @@ __all__ = [
     "EngineStream",
     "EnginePhase",
     "ThreadProgram",
-    "SampleBucket",
     "BucketColumns",
     "BucketRates",
     "IntervalRecord",
@@ -149,38 +148,15 @@ class ThreadProgram:
 
 
 @dataclass(frozen=True, slots=True)
-class SampleBucket:
-    """Aggregate of homogeneous accesses, ready for Poisson thinning.
-
-    ``dst_node`` is meaningful for DRAM levels (the node whose controller
-    served the access); for cache levels it equals the source node.
-
-    A thin per-record view: the engine stores buckets columnarly (see
-    :class:`BucketColumns`) and materializes these only for object-level
-    consumers.
-    """
-
-    thread_id: int
-    cpu: int
-    src_node: int
-    object_id: int
-    region_base: int
-    region_bytes: int
-    level: MemLevel
-    dst_node: int
-    n_accesses: float
-    mean_latency: float
-
-
-@dataclass(frozen=True, slots=True)
 class BucketColumns:
     """Columnar store of a run's sample buckets, one numpy array per field.
 
     Rows are emitted in canonical (sorted-key) order by the engine's
     bucket finalization, so two runs that accumulated the same buckets
     serialize identically regardless of accumulation insertion order.
-    The PMU sampler thins these columns directly without rehydrating
-    :class:`SampleBucket` objects.
+    The PMU sampler thins these columns directly.  ``dst_node`` is
+    meaningful for DRAM levels (the node whose controller served the
+    access); for cache levels it equals the source node.
     """
 
     thread_id: np.ndarray
@@ -194,50 +170,8 @@ class BucketColumns:
     n_accesses: np.ndarray
     mean_latency: np.ndarray
 
-    _INT_FIELDS = (
-        "thread_id", "cpu", "src_node", "object_id",
-        "region_base", "region_bytes", "level", "dst_node",
-    )
-
     def __len__(self) -> int:
         return int(self.thread_id.shape[0])
-
-    @classmethod
-    def from_buckets(cls, buckets: list[SampleBucket]) -> "BucketColumns":
-        """Columnarize a per-record bucket list (compat/oracle path)."""
-        n = len(buckets)
-        return cls(
-            **{
-                name: np.fromiter(
-                    (int(getattr(b, name)) for b in buckets), dtype=np.int64, count=n
-                )
-                for name in cls._INT_FIELDS
-            },
-            n_accesses=np.fromiter(
-                (b.n_accesses for b in buckets), dtype=np.float64, count=n
-            ),
-            mean_latency=np.fromiter(
-                (b.mean_latency for b in buckets), dtype=np.float64, count=n
-            ),
-        )
-
-    def to_buckets(self) -> list[SampleBucket]:
-        """Materialize per-record :class:`SampleBucket` views."""
-        return [
-            SampleBucket(
-                thread_id=int(self.thread_id[i]),
-                cpu=int(self.cpu[i]),
-                src_node=int(self.src_node[i]),
-                object_id=int(self.object_id[i]),
-                region_base=int(self.region_base[i]),
-                region_bytes=int(self.region_bytes[i]),
-                level=MemLevel(int(self.level[i])),
-                dst_node=int(self.dst_node[i]),
-                n_accesses=float(self.n_accesses[i]),
-                mean_latency=float(self.mean_latency[i]),
-            )
-            for i in range(len(self))
-        ]
 
 
 @dataclass(frozen=True)
@@ -288,27 +222,6 @@ class IntervalRecord:
     def end_cycle(self) -> float:
         return self.start_cycle + self.duration_cycles
 
-    def buckets(self) -> list[SampleBucket]:
-        """Materialize this interval's accesses as sample buckets."""
-        r = self.rates
-        counts = r.rate * self.duration_cycles
-        return [
-            SampleBucket(
-                thread_id=int(r.thread_id[i]),
-                cpu=int(r.cpu[i]),
-                src_node=int(r.src_node[i]),
-                object_id=int(r.object_id[i]),
-                region_base=int(r.region_base[i]),
-                region_bytes=int(r.region_bytes[i]),
-                level=MemLevel(int(r.level[i])),
-                dst_node=int(r.dst_node[i]),
-                n_accesses=float(counts[i]),
-                mean_latency=float(r.latency[i]),
-            )
-            for i in range(len(r))
-            if counts[i] > 0
-        ]
-
 
 @dataclass(frozen=True)
 class PhaseTiming:
@@ -336,15 +249,6 @@ class RunResult:
     interconnect: InterconnectFabric
     #: Extra stall injected per access (profiling overhead model), cycles.
     extra_stall_cycles: float = 0.0
-
-    @property
-    def buckets(self) -> list[SampleBucket]:
-        """Per-record view over :attr:`bucket_columns` (cached on first use)."""
-        cached = self.__dict__.get("_buckets")
-        if cached is None:
-            cached = self.bucket_columns.to_buckets()
-            self.__dict__["_buckets"] = cached
-        return cached
 
     @property
     def total_seconds(self) -> float:

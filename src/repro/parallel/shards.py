@@ -5,11 +5,14 @@ the workload (a training mini-program configuration or a named benchmark
 input), the ``Tt-Nn`` placement, optional machine-model overrides,
 optional profiler overrides (sampling period, fault plan, resample
 knobs), and which extra measurements to take (interleave oracle, Table
-VII overhead pass).  Workers rebuild everything from the spec and run it
-from scratch — except that a process keeps its last profiled run, which
-the seed does not touch, for the next shard of the same spec — so a
-shard's result depends only on ``(spec, seed)``, never on which process
-executed it or in what order.
+VII overhead pass).  Every profiled case runs through a shard: a machine
+or profiler config the encoders cannot carry raises
+:class:`~repro.errors.ParallelError` naming the field, and there is no
+in-process path around them.  Workers rebuild everything from the spec
+and run it from scratch — except that a process keeps its last profiled
+run, which the seed does not touch, for the next shard of the same spec
+— so a shard's result depends only on ``(spec, seed)``, never on which
+process executed it or in what order.
 
 The payload is symmetric: plain JSON (feature vectors per channel, the
 quarantine ledger, oracle/overhead numbers) that consumers re-hydrate
@@ -51,22 +54,6 @@ __all__ = [
 #: Kind tag baked into every spec (and therefore every hash): bump it when
 #: the payload layout changes so stale cache entries can never be replayed.
 PROFILE_SHARD_KIND = "profile/v1"
-
-#: Topology/latency fields that may differ from defaults and still shard.
-_TOPOLOGY_SCALARS = (
-    "n_sockets",
-    "cores_per_socket",
-    "smt",
-    "clock_ghz",
-    "dram_bytes_per_node",
-    "dram_bw_bytes_per_cycle",
-    "link_bw_bytes_per_cycle",
-)
-_LATENCY_SCALARS = (
-    "mc_queue_fraction",
-    "link_queue_fraction",
-    "max_inflation",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -116,40 +103,39 @@ def _build_workload(wspec: dict):
 # Machine / profiler specs
 # ---------------------------------------------------------------------------
 
-def machine_spec(machine: Machine) -> dict | None:
-    """Serializable description of ``machine``, or ``None`` when it uses
-    features the shard encoding does not carry (per-channel capacity
-    overrides, non-default cache specs/latency bases) — callers fall back
-    to the serial in-process path for those."""
+def _scalar_delta(section: str, value, default, unencodable: tuple[str, ...]) -> dict:
+    """The fields of dataclass ``value`` that differ from ``default``."""
+    delta = {}
+    for f in dataclasses.fields(value):
+        v = getattr(value, f.name)
+        if v == getattr(default, f.name):
+            continue
+        if f.name in unencodable:
+            raise ParallelError(f"a shard spec cannot encode {section}.{f.name} = {v!r}")
+        delta[f.name] = v
+    return delta
+
+
+def machine_spec(machine: Machine) -> dict:
+    """Serializable description of ``machine``: its topology and latency
+    scalars that differ from the defaults.
+
+    Raises :class:`~repro.errors.ParallelError` naming the field for a
+    machine the encoding cannot carry (per-channel capacity overrides,
+    non-default cache specs, latency base or cache model).
+    """
     if machine.link_capacity_overrides:
-        return None
-    default_topo = NumaTopology()
-    topo = machine.topology
-    if (topo.l1, topo.l2, topo.l3) != (
-        default_topo.l1, default_topo.l2, default_topo.l3
-    ):
-        return None
-    default_lat = LatencyModel()
-    lat = machine.latency_model
-    if lat.base != default_lat.base:
-        return None
+        raise ParallelError("a shard spec cannot encode machine.link_capacity_overrides")
     if machine.cache_model != CacheModel():
-        return None
+        raise ParallelError("a shard spec cannot encode a non-default machine.cache_model")
     spec: dict[str, dict] = {}
-    topo_delta = {
-        name: getattr(topo, name)
-        for name in _TOPOLOGY_SCALARS
-        if getattr(topo, name) != getattr(default_topo, name)
-    }
-    lat_delta = {
-        name: getattr(lat, name)
-        for name in _LATENCY_SCALARS
-        if getattr(lat, name) != getattr(default_lat, name)
-    }
-    if topo_delta:
-        spec["topology"] = topo_delta
-    if lat_delta:
-        spec["latency_model"] = lat_delta
+    for section, value, default, unencodable in (
+        ("topology", machine.topology, NumaTopology(), ("l1", "l2", "l3")),
+        ("latency_model", machine.latency_model, LatencyModel(), ("base",)),
+    ):
+        delta = _scalar_delta(section, value, default, unencodable)
+        if delta:
+            spec[section] = delta
     return spec
 
 
@@ -171,12 +157,18 @@ def _build_machine(mspec: dict | None) -> Machine:
     return Machine(topology=topo, latency_model=lat)
 
 
-def profiler_spec(config: ProfilerConfig) -> dict | None:
-    """Serializable description of a profiler config, or ``None`` when it
-    is not shard-encodable (custom PMU event, non-dataclass fault plan)."""
+def profiler_spec(config: ProfilerConfig) -> dict:
+    """Serializable description of a profiler config.
+
+    Raises :class:`~repro.errors.ParallelError` naming the field for a
+    config the encoding cannot carry (a custom PMU event, a fault plan
+    that is not a :class:`~repro.faults.FaultPlan`).
+    """
     sampler = config.sampler
     if sampler.event != SamplerConfig().event:
-        return None
+        raise ParallelError(
+            f"a shard spec cannot encode sampler.event = {sampler.event.name!r}"
+        )
     sampler_d = dataclasses.asdict(sampler)
     del sampler_d["event"]
     del sampler_d["seed"]  # the shard seed replaces it
@@ -187,7 +179,10 @@ def profiler_spec(config: ProfilerConfig) -> dict | None:
         from repro.faults import FaultPlan
 
         if not isinstance(config.faults, FaultPlan):
-            return None
+            raise ParallelError(
+                f"a shard spec cannot encode profiler.faults of type "
+                f"{type(config.faults).__name__}"
+            )
         faults = dataclasses.asdict(config.faults)
         faults["truncate_fraction"] = list(config.faults.truncate_fraction)
     return {
@@ -202,8 +197,7 @@ def profiler_spec(config: ProfilerConfig) -> dict | None:
 
 
 def _build_profiler_config(pspec: dict | None, seed: int) -> ProfilerConfig:
-    if pspec is None:
-        return ProfilerConfig(sampler=SamplerConfig(seed=seed))
+    pspec = pspec or {}
     sampler_d = dict(pspec.get("sampler", {}))
     for key in ("outlier_scale", "tlb_walk_cycles"):
         if key in sampler_d:

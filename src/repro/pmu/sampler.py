@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigError
-from repro.numasim.engine import BucketColumns, IntervalRecord, RunResult
+from repro.numasim.engine import IntervalRecord, RunResult
 from repro.numasim.latency import LatencyModel
 from repro.osl.pages import PageTable
 from repro.pmu.events import (
@@ -113,15 +113,13 @@ class AddressSampler:
     def sample_run_batch(self, run: RunResult) -> RawSampleBatch:
         """Columnar samples for a whole run (the fast path).
 
-        Consumes the engine's :class:`BucketColumns` directly — no
-        :class:`SampleBucket` objects, no per-bucket batch allocations.
-        The RNG draw order per bucket (Poisson, addresses, lognormal,
+        Consumes the engine's :class:`~repro.numasim.engine.BucketColumns`
+        directly, with no per-bucket objects or batch allocations.  The
+        RNG draw order per bucket (Poisson, addresses, lognormal,
         outliers) matches the historical per-bucket path exactly, so the
         produced stream is bit-identical to it.
         """
-        cols = getattr(run, "bucket_columns", None)
-        if cols is None:  # duck-typed runs (tests) carrying a .buckets list
-            cols = BucketColumns.from_buckets(run.buckets)
+        cols = run.bucket_columns
         rng = self._rng
         poisson = rng.poisson
         integers = rng.integers

@@ -21,8 +21,9 @@ no cache configured the queue holds a disabled
 
 Worker threads execute jobs through :func:`~repro.service.jobspec
 .execute_job` (injectable for tests), each under its own telemetry
-session; finished jobs fold their spans and counters into the service
-aggregate the ``/metrics`` endpoint exposes.  Because every counter bump
+session; finished jobs fold their counters into the service aggregate
+the ``/metrics`` endpoint exposes, and write their trace-tagged spans to
+the ``--spans`` log when one is open (the queue keeps no spans).  Because every counter bump
 happens under the queue lock together with the state change it
 describes, metrics are exact, not eventually-consistent — the
 saturation tests assert equalities, not inequalities.
@@ -214,14 +215,14 @@ class ServiceQueue:
         self._busy = 0
         #: Structured JSONL sinks for the request-path observability
         #: plane: one ``job`` record per terminal job, one tagged span
-        #: dict per merged worker span.  Both optional and off by default.
+        #: dict per worker span.  Both optional and off by default.
         self._access_log = access_log
         self._span_log = span_log
         #: Service lifecycle counters — always live, whatever the
         #: telemetry setting, because ``/metrics`` and the CI smoke test
         #: scrape them unconditionally.
         self.metrics = telemetry.MetricsRegistry()
-        #: Pipeline-telemetry aggregate: per-job sessions merge in here.
+        #: Pipeline-telemetry aggregate: per-job counters fold in here.
         self.telemetry = telemetry.Telemetry(enabled=telemetry_enabled)
 
     # -- lifecycle --------------------------------------------------------------
@@ -598,19 +599,15 @@ class ServiceQueue:
                 "service.job_seconds", JOB_SECONDS_BUCKETS
             ).observe(elapsed)
             if tel.enabled:
-                # Tag every worker span with the submitting request's
-                # trace before merging, so an access-log trace_id resolves
-                # to the spans of the execution that served it.
-                tagged = []
-                for rec in tel.tracer.to_dicts():
-                    attrs = dict(rec.get("attrs") or {})
-                    attrs["trace_id"] = job.trace_id
-                    attrs["job_id"] = job.id
-                    tagged.append(dict(rec, attrs=attrs))
-                self.telemetry.tracer.merge_records(tagged, shard=job.id)
                 for name, c in sorted(tel.metrics.counters.items()):
                     self.telemetry.metrics.counter(name).inc(c.value)
                 if self._span_log is not None:
-                    for rec in tagged:
-                        self._span_log.append(rec)
+                    # Tag every worker span with the submitting request's
+                    # trace, so an access-log trace_id resolves to the
+                    # spans of the execution that served it.
+                    for rec in tel.tracer.to_dicts():
+                        attrs = dict(rec.get("attrs") or {})
+                        attrs["trace_id"] = job.trace_id
+                        attrs["job_id"] = job.id
+                        self._span_log.append(dict(rec, attrs=attrs))
         return False

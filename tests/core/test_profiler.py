@@ -244,3 +244,30 @@ class TestSingleLookup:
         assert samples.object_id.tobytes() == want.tobytes()
         assert samples.object_id.dtype == np.int64
         assert np.any(samples.object_id >= 0)
+
+    def test_live_object_ids_are_lazy_and_match_the_eager_lookup(self, machine):
+        """``profile_live`` streams no object ids; its result attributes
+        them on first read, equal to the eager lookup of the final
+        addresses."""
+        from repro.faults import parse_fault_plan
+
+        class Sink:
+            interval_cycles = 4e6
+            streamed = 0
+
+            def observe_interval(self, record, fields, observed=0, quarantined=0):
+                assert "object_id" not in fields
+                self.streamed += len(fields["address"])
+
+        sink = Sink()
+        cfg = ProfilerConfig(faults=parse_fault_plan("standard"))
+        profile = DrBwProfiler(machine, cfg).profile_live(
+            make_sumv(256 * MB), 8, 2, monitor=sink, seed=3
+        )
+        samples = profile.sample_set
+        assert len(samples) == sink.streamed > 0
+        assert callable(samples._object_id)
+        want = profile.compiled.allocator.object_ids_of_addresses(samples.address)
+        assert samples.object_id.tobytes() == want.tobytes()
+        assert samples.object_id.dtype == np.int64
+        assert np.any(samples.object_id >= 0)

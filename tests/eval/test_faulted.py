@@ -29,7 +29,7 @@ class TestFaultedDetection:
         assert [c.actual for c in faulted.cases] == [c.actual for c in clean.cases]
 
     def test_degradation_ledger_populated(self, faulted):
-        deg = faulted.degradation
+        deg = faulted.dropped
         assert deg.observed > 0
         assert deg.total_quarantined > 0 or deg.injected
         assert deg.kept <= deg.observed
@@ -40,7 +40,7 @@ class TestFaultedDetection:
             FaultPlan(), benchmarks=SUBSET, configs=CONFIGS
         )
         assert [c.detected for c in zero.cases] == [c.detected for c in clean.cases]
-        assert zero.degradation.is_clean
+        assert zero.dropped.is_clean
 
     def test_accuracy_within_five_points_of_clean(self, trained):
         result = run_table6_under_faults(

@@ -147,12 +147,10 @@ class TestContention:
         crowd = eng.run(self._many_remote())
 
         def remote_lat(res):
-            lats = [
-                (b.mean_latency, b.n_accesses)
-                for b in res.buckets
-                if b.level is MemLevel.REMOTE_DRAM
-            ]
-            return sum(l * n for l, n in lats) / sum(n for _, n in lats)
+            cols = res.bucket_columns
+            remote = cols.level == MemLevel.REMOTE_DRAM
+            n = cols.n_accesses[remote]
+            return float((cols.mean_latency[remote] * n).sum() / n.sum())
 
         assert remote_lat(crowd) > 1.5 * remote_lat(solo)
 
@@ -251,7 +249,7 @@ class TestDeterminism:
         a = eng.run(progs)
         b = eng.run(progs)
         assert a.total_cycles == b.total_cycles
-        assert len(a.buckets) == len(b.buckets)
+        assert len(a.bucket_columns) == len(b.bucket_columns)
 
 
 class TestBucketConservation:
@@ -260,7 +258,7 @@ class TestBucketConservation:
         eng = ExecutionEngine(TOPO)
         n = 3e5
         res = eng.run([program(0, 0, [stream([1, 0, 0, 0])], n_accesses=n)])
-        assert sum(b.n_accesses for b in res.buckets) == pytest.approx(n, rel=1e-6)
+        assert res.bucket_columns.n_accesses.sum() == pytest.approx(n, rel=1e-6)
 
     def test_shared_stream_uses_full_l3(self):
         """A shared region the size of L3 stays cached even with many
@@ -285,8 +283,7 @@ class TestBucketConservation:
             for t in range(8)
         ]
         res = ExecutionEngine(TOPO).run(progs)
-        dram = sum(
-            b.n_accesses for b in res.buckets if b.level.is_dram
-        )
-        total = sum(b.n_accesses for b in res.buckets)
+        cols = res.bucket_columns
+        dram = cols.n_accesses[cols.level >= MemLevel.LOCAL_DRAM].sum()
+        total = cols.n_accesses.sum()
         assert dram / total < 0.05, "shared L3 residency keeps DRAM traffic low"

@@ -1,28 +1,41 @@
 """Tests for PEBS-style address sampling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.numasim.engine import SampleBucket
+from repro.numasim.engine import BucketColumns
 from repro.numasim.latency import LatencyModel
 from repro.osl.pages import PAGE_BYTES, BindToNode, Interleave, PageTable, Replicated
 from repro.pmu.sampler import AddressSampler, SamplerConfig
 from repro.types import MemLevel
 
+_FLOAT_FIELDS = ("n_accesses", "mean_latency")
+
 
 def bucket(n_accesses=200_000.0, level=MemLevel.REMOTE_DRAM, dst=1,
            base=0x100000, size=64 * PAGE_BYTES, latency=400.0):
-    return SampleBucket(
+    """One bucket row, in :class:`BucketColumns` field names."""
+    return SimpleNamespace(
         thread_id=0, cpu=0, src_node=0, object_id=0,
         region_base=base, region_bytes=size,
-        level=level, dst_node=dst, n_accesses=n_accesses, mean_latency=latency,
+        level=int(level), dst_node=dst, n_accesses=n_accesses, mean_latency=latency,
     )
 
 
 class _FakeRun:
+    """A run carrying only the bucket columns the sampler reads."""
+
     def __init__(self, buckets):
-        self.buckets = buckets
+        self.bucket_columns = BucketColumns(**{
+            name: np.array(
+                [getattr(b, name) for b in buckets],
+                dtype=np.float64 if name in _FLOAT_FIELDS else np.int64,
+            )
+            for name in vars(buckets[0])
+        })
 
 
 @pytest.fixture

@@ -235,7 +235,8 @@ class TestMetrics:
 
     def test_pipeline_telemetry_aggregates(self, model_path):
         """With telemetry on and a real executor, per-job pipeline counters
-        fold into a second exposition namespace."""
+        fold into a second exposition namespace, and the queue keeps no
+        spans when no span log is open."""
         q = ServiceQueue(workers=1, capacity=4, telemetry_enabled=True)
         with ServiceServer(q, port=0) as server:
             client = ServiceClient(server.url)
@@ -244,8 +245,9 @@ class TestMetrics:
                 "model": model_path,
             }, timeout=120)
             page = client.metrics()
-            assert "drbw_pipeline_" in page
-            assert len(q.telemetry.tracer.records) > 0
+            assert "drbw_pipeline_profiler_samples_observed_total" in page
+            # Counters fold in; the job's spans are not kept.
+            assert not q.telemetry.tracer.records
 
     def test_run_reuse_shows_in_metrics(self, monkeypatch):
         """Two profile jobs of one shard spec: the second samples the

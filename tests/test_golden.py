@@ -97,6 +97,7 @@ def test_golden_fixtures_are_canonical():
         "table1_features.json",
         "classifier_tree.json",
         "engine_intervals.json",
+        "profile_digests.json",
     ):
         raw = (GOLDEN_DIR / name).read_text()
         assert raw == json.dumps(json.loads(raw), indent=2, sort_keys=True) + "\n"
@@ -116,3 +117,12 @@ def test_engine_interval_golden_regeneration_is_a_noop():
 
     expected = load_golden("engine_intervals.json")
     assert build_interval_golden() == expected
+
+
+def test_profile_digest_golden_regeneration_is_a_noop():
+    """A fresh rebuild of the profile-digest fixture equals the checked-in
+    file exactly: the batch and live profilers' sample columns, streamed
+    intervals and quarantine ledgers, clean and faulted, bit for bit."""
+    from tests.golden_profiles import build_profile_golden
+
+    assert build_profile_golden() == load_golden("profile_digests.json")

@@ -89,14 +89,9 @@ class TestBanditWorkload:
 
     def test_all_traffic_remote(self, machine):
         run = run_workload(make_bandit(target_node=1), machine, 1, 1)
-        local = sum(
-            b.n_accesses for b in run.result.buckets
-            if b.level is MemLevel.LOCAL_DRAM
-        )
-        remote = sum(
-            b.n_accesses for b in run.result.buckets
-            if b.level is MemLevel.REMOTE_DRAM
-        )
+        cols = run.result.bucket_columns
+        local = cols.n_accesses[cols.level == MemLevel.LOCAL_DRAM].sum()
+        remote = cols.n_accesses[cols.level == MemLevel.REMOTE_DRAM].sum()
         assert local == 0
         assert remote > 0
 

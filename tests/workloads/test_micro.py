@@ -39,8 +39,9 @@ class TestBuilders:
 class TestBehaviour:
     def test_small_vector_cache_resident(self, machine):
         run = run_workload(make_sumv(1 * MB), machine, 4, 1)
-        dram = sum(b.n_accesses for b in run.result.buckets if b.level.is_dram)
-        total = sum(b.n_accesses for b in run.result.buckets)
+        cols = run.result.bucket_columns
+        dram = cols.n_accesses[cols.level >= MemLevel.LOCAL_DRAM].sum()
+        total = cols.n_accesses.sum()
         assert dram / total < 0.02
 
     def test_large_multinode_vector_contends(self, machine):
@@ -53,10 +54,8 @@ class TestBehaviour:
 
     def test_colocated_large_vector_no_remote(self, machine):
         run = run_workload(make_sumv(512 * MB, colocate=True), machine, 32, 4)
-        remote = sum(
-            b.n_accesses for b in run.result.buckets
-            if b.level is MemLevel.REMOTE_DRAM
-        )
+        cols = run.result.bucket_columns
+        remote = cols.n_accesses[cols.level == MemLevel.REMOTE_DRAM].sum()
         assert remote == 0
 
     def test_more_threads_faster_single_node(self, machine):

@@ -110,13 +110,10 @@ class TestBehaviouralContracts:
         # sits below full utilization while observed latencies are clearly
         # contended — the signature DR-BW keys on.
         assert run.result.memctrl.peak_utilization(0) > 0.5
-        from repro.types import MemLevel as _ML
-        lats = [
-            (b.mean_latency, b.n_accesses)
-            for b in run.result.buckets
-            if b.level is _ML.REMOTE_DRAM
-        ]
-        mean_lat = sum(l * n for l, n in lats) / sum(n for _, n in lats)
+        cols = run.result.bucket_columns
+        remote = cols.level == MemLevel.REMOTE_DRAM
+        n = cols.n_accesses[remote]
+        mean_lat = (cols.mean_latency[remote] * n).sum() / n.sum()
         assert mean_lat > 700
 
     def test_blackscholes_native_does_not(self, machine):
@@ -129,16 +126,15 @@ class TestBehaviouralContracts:
 
     def test_ep_is_cache_resident(self, machine):
         run = run_workload(make_npb("EP", "C"), machine, 32, 4)
-        dram = sum(b.n_accesses for b in run.result.buckets if b.level.is_dram)
-        total = sum(b.n_accesses for b in run.result.buckets)
+        cols = run.result.bucket_columns
+        dram = cols.n_accesses[cols.level >= MemLevel.LOCAL_DRAM].sum()
+        total = cols.n_accesses.sum()
         assert dram / total < 0.01
 
     def test_colocated_bt_never_remote(self, machine):
         run = run_workload(make_npb("BT", "C"), machine, 16, 4)
-        remote = sum(
-            b.n_accesses for b in run.result.buckets
-            if b.level is MemLevel.REMOTE_DRAM
-        )
+        cols = run.result.bucket_columns
+        remote = cols.n_accesses[cols.level == MemLevel.REMOTE_DRAM].sum()
         assert remote == 0
 
     def test_irsmk_large_saturates_node0(self, machine):
